@@ -23,7 +23,6 @@ from .sdr import evaluate_songs
 from .thomson import minimize_energy, reference_energy, shape_for_points
 from .training import (
     TrainLog,
-    derive_finetune_config,
     finetune,
     mhe_config_from_dict,
     net_config_from_dict,

@@ -13,6 +13,13 @@ z**(-s) for s in {1, 2} or -log(z) for s = 0. In "half" space each row is
 paired with its antipode, i.e. the energy is evaluated on the 2N-row stack
 [U; -U]; this treats a filter and its negation as the same direction.
 
+Every variant starts from one Gram matrix g = P P^T of the unit points P
+(the [U; -U] stack in half space). Angles are arccos(g); chords are
+sqrt(2 - 2g), except for off-diagonal pairs with g > 1 - _NEAR_GAP, whose
+chords come from direct row differences because 2 - 2g cancels there.
+With a clamp threshold below sqrt(2 * _NEAR_GAP) only those pairs can be
+clamped, so clamped-pair counts are exact.
+
 All functions return energies over ordered pairs and analytic gradients
 with respect to the *unnormalized* weights (the chain rule through row
 normalization is applied here, once). Distances smaller than the config's
@@ -35,9 +42,9 @@ S_POWERS = (0, 1, 2)
 # are treated as constants (zero gradient), like distance-clamped pairs.
 _DOT_MARGIN = 1e-12
 
-# Cap on the scratch block (in float64 elements) used when forming
-# pairwise row differences; keeps peak memory around 32 MB per block.
-_BLOCK_BUDGET = 4_000_000
+# Chords of pairs with g > 1 - _NEAR_GAP come from row differences; the
+# digits 2 - 2g loses there would be amplified by the kernels (1/z^2 most).
+_NEAR_GAP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -162,23 +169,6 @@ def pair_distance(a: np.ndarray, b: np.ndarray, distance: str, clamp_epsilon: fl
     return max(d, clamp_epsilon)
 
 
-def _pairwise_chords(points: np.ndarray) -> np.ndarray:
-    """All-pairs euclidean distances via direct row differences.
-
-    Computed blockwise as sqrt(sum((p_i - p_k)^2)) rather than from the
-    Gram matrix: the Gram route loses half the significant digits for
-    nearly coincident rows, and downstream kernels (1/z^2 especially)
-    amplify that loss.
-    """
-    m, d = points.shape
-    out = np.empty((m, m))
-    block = max(1, min(m, _BLOCK_BUDGET // max(1, m * d)))
-    for start in range(0, m, block):
-        diff = points[start : start + block, None, :] - points[None, :, :]
-        np.sqrt(np.einsum("ijk,ijk->ij", diff, diff), out=out[start : start + block])
-    return out
-
-
 def _kernel_and_slope(dist: np.ndarray, s_power: int) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise kernel values and derivatives on a (clamped) distance matrix."""
     if s_power == 0:
@@ -202,14 +192,23 @@ def layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:
     if m < 2:
         raise DegenerateBank(bank.layer_id, f"bank for layer {bank.layer_id} has a single direction")
 
+    gram = points @ points.T
     off_diag = ~np.eye(m, dtype=bool)
     if config.distance == "euclidean":
-        raw = _pairwise_chords(points)
-        dot_clipped = np.zeros((m, m), dtype=bool)
+        raw = np.sqrt(np.maximum(2.0 - 2.0 * gram, 0.0))
+        near = gram > 1.0 - _NEAR_GAP
+        # The m diagonal entries are always near; most banks have no other.
+        if np.count_nonzero(near) > m:
+            near &= off_diag
+            # Row by row, so a collapsed bank needs O(m * D) scratch, not O(m^2 * D).
+            for i in np.flatnonzero(near.any(axis=1)):
+                cols = np.flatnonzero(near[i])
+                diff = points[cols] - points[i]
+                raw[i, cols] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     else:
-        gram = points @ points.T
+        gram_clipped = np.clip(gram, -1.0 + _DOT_MARGIN, 1.0 - _DOT_MARGIN)
         dot_clipped = (gram <= -1.0 + _DOT_MARGIN) | (gram >= 1.0 - _DOT_MARGIN)
-        raw = np.arccos(np.clip(gram, -1.0 + _DOT_MARGIN, 1.0 - _DOT_MARGIN))
+        raw = np.arccos(gram_clipped)
 
     clamped = (raw < config.clamp_epsilon) & off_diag
     dist = np.maximum(raw, config.clamp_epsilon)
@@ -225,7 +224,6 @@ def layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:
         grad_points = coef.sum(axis=1)[:, None] * points - coef @ points
     else:
         live &= ~dot_clipped
-        gram_clipped = np.clip(points @ points.T, -1.0 + _DOT_MARGIN, 1.0 - _DOT_MARGIN)
         inv_sin = 1.0 / np.sqrt(1.0 - gram_clipped * gram_clipped)
         coef = np.where(live, 2.0 * slopes * inv_sin, 0.0)
         grad_points = -(coef @ points)

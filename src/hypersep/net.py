@@ -368,11 +368,6 @@ def collect_filter_banks(net: SepNet, include_output: bool = False) -> list[Filt
     return banks
 
 
-def hidden_layer_count(net: SepNet) -> int:
-    """Number of banks the energy penalty sees by default."""
-    return len(collect_filter_banks(net, include_output=False))
-
-
 def separate_signal(
     net: SepNet, mixture: np.ndarray, batch_size: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypersep.energy import (
+    _NEAR_GAP,
     EnergyResult,
     FilterBank,
     MheConfig,
@@ -211,6 +212,72 @@ class TestOracleAgreement:
                     full = layer_energy(stacked, MheConfig("full", distance, s))
                     assert half.energy == full.energy
                     assert half.clamped_pairs == full.clamped_pairs
+
+
+EUCLIDEAN_CONFIGS = [c for c in all_configs() if c.distance == "euclidean"]
+
+
+def bank_with_close_pair(gap, mirror):
+    """Random 6-D bank whose last two unit rows have dot product 1 - gap.
+
+    The pair spans two coordinate axes, so its row norms are summed exactly
+    in any order and the package and the oracle normalize it identically;
+    otherwise a one-ulp difference in the unit rows would swamp the chord
+    of the closest pairs. With mirror=True the last row is negated (dot
+    product -(1 - gap)): the pair is then close only on the half-space stack.
+    """
+    rng = np.random.default_rng(71)
+    w = rng.standard_normal((5, 6))
+    x, y = rng.permutation(6)[:2]
+    theta = 2.0 * math.asin(math.sqrt(gap / 2.0))  # 1 - cos(theta) == gap
+    w[3:] = 0.0
+    w[3, x] = 1.0
+    w[4, x], w[4, y] = math.cos(theta), math.sin(theta)
+    if mirror:
+        w[4] = -w[4]
+    return w
+
+
+class TestNearCoincidentGuard:
+    """Gram chords sqrt(2 - 2g) cancel for g near 1; pairs above 1 - _NEAR_GAP
+    must still match the direct-difference oracle at the acceptance-2 tolerance."""
+
+    @staticmethod
+    def assert_matches_oracle(weights, config):
+        expected, clamped = oracles.brute_force_energy(
+            weights, config.space, config.distance, config.s_power, config.clamp_epsilon
+        )
+        result = layer_energy(FilterBank(weights), config)
+        assert abs(result.energy - expected) <= 1e-12 + 1e-10 * abs(expected), config.label()
+        assert result.clamped_pairs == clamped, config.label()
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize(
+        "gap", [1e-16, 1e-14, 1e-10, 1e-6, _NEAR_GAP / 2, _NEAR_GAP, 2 * _NEAR_GAP]
+    )
+    def test_close_pair_energy_matches_brute_force(self, gap, mirror):
+        weights = bank_with_close_pair(gap, mirror)
+        for config in EUCLIDEAN_CONFIGS:
+            self.assert_matches_oracle(weights, config)
+
+    def test_wide_random_bank_matches_brute_force(self):
+        weights = random_bank(np.random.default_rng(72), 40, 120).weights
+        for config in EUCLIDEAN_CONFIGS:
+            self.assert_matches_oracle(weights, config)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("gap", [_NEAR_GAP / 2, _NEAR_GAP, 2 * _NEAR_GAP])
+    def test_gradient_across_the_guard(self, gap, mirror):
+        weights = bank_with_close_pair(gap, mirror)
+        for config in EUCLIDEAN_CONFIGS:
+            analytic = layer_energy(FilterBank(weights), config).gradient
+            fd = oracles.finite_difference_gradient(
+                lambda w: layer_energy(FilterBank(w), config).energy, weights
+            )
+            # Acceptance 1's measure, at gradient scale: entries that are
+            # analytically near zero carry only finite-difference noise.
+            err = np.max(np.abs(analytic - fd)) / max(1.0, np.max(np.abs(fd)))
+            assert err < 1e-5, f"{config.label()}: error {err:.2e}"
 
 
 class TestGradients:

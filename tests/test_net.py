@@ -21,7 +21,6 @@ from hypersep.net import (
     collect_filter_banks,
     forward,
     forward_batch,
-    hidden_layer_count,
     init_net,
     load_checkpoint,
     save_checkpoint,
@@ -243,7 +242,6 @@ class TestFilterBanks:
         net = init_net(NetConfig(depth=3, base_features=4, input_len=64, seed=0))
         banks = collect_filter_banks(net)
         assert len(banks) == 6
-        assert hidden_layer_count(net) == 6
 
     def test_bottleneck_and_output_opt_in(self):
         cfg = NetConfig(depth=2, base_features=4, input_len=16, seed=0, bottleneck_own_layer=True)
