@@ -218,26 +218,26 @@ def layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:
     # Each unordered pair appears as (i, k) and (k, i); both contribute the
     # same derivative w.r.t. point i, hence the factor 2 below. Pairs whose
     # distance (or arccos argument) was clamped are constants: zero slope.
+    # Bank-sized arrays are updated in place: fresh ones cost page faults.
     live = off_diag & ~clamped
     if config.distance == "euclidean":
         coef = np.where(live, 2.0 * slopes / dist, 0.0)
-        grad_points = coef.sum(axis=1)[:, None] * points - coef @ points
+        grad_points = coef.sum(axis=1)[:, None] * points
+        grad_points -= coef @ points
     else:
         live &= ~dot_clipped
         inv_sin = 1.0 / np.sqrt(1.0 - gram_clipped * gram_clipped)
         coef = np.where(live, 2.0 * slopes * inv_sin, 0.0)
-        grad_points = -(coef @ points)
+        grad_points = coef @ points
+        np.negative(grad_points, out=grad_points)
 
-    if config.space == "half":
-        grad_unit = grad_points[:n] - grad_points[n:]
-    else:
-        grad_unit = grad_points
+    grad_unit = grad_points[:n] - grad_points[n:] if config.space == "half" else grad_points
 
     # Chain rule through row normalization u = w / ||w||: the Jacobian
     # projects out the radial component and divides by the row norm.
     radial = np.einsum("ij,ij->i", unit, grad_unit)
-    gradient = (grad_unit - radial[:, None] * unit) / norms[:, None]
-
+    grad_unit -= radial[:, None] * unit
+    gradient = np.divide(grad_unit, norms[:, None], out=grad_unit)
     return EnergyResult(energy, gradient, int(np.count_nonzero(clamped)))
 
 
@@ -246,7 +246,8 @@ def normalized_layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult
     result = layer_energy(bank, config)
     n_eff = 2 * bank.n_filters if config.space == "half" else bank.n_filters
     scale = 1.0 / (n_eff * (n_eff - 1))
-    return EnergyResult(result.energy * scale, result.gradient * scale, result.clamped_pairs)
+    gradient = np.multiply(result.gradient, scale, out=result.gradient)
+    return EnergyResult(result.energy * scale, gradient, result.clamped_pairs)
 
 
 def mhe_penalty(
@@ -269,5 +270,5 @@ def mhe_penalty(
     for bank in banks:
         result = normalized_layer_energy(bank, config)
         total += result.energy
-        gradients.append(lambda_h * result.gradient)
+        gradients.append(np.multiply(result.gradient, lambda_h, out=result.gradient))
     return lambda_h * total, gradients
