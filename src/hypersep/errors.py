@@ -40,10 +40,6 @@ class ShapeMismatch(HypersepError):
     """Array arguments disagree in shape where they must match."""
 
 
-class MissingCache(HypersepError):
-    """Backward pass requested on an output that kept no forward cache."""
-
-
 class LengthMismatch(HypersepError):
     """Paired signals differ in length."""
 

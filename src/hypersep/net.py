@@ -9,26 +9,23 @@ A final kernel-1 conv with tanh produces the vocal estimate in [-1, 1],
 and the accompaniment estimate is the input mixture minus the vocals, so
 the two always sum back to the mixture sample-for-sample.
 
-Forward and backward passes are written directly in numpy. Convolutions
-are evaluated as one matrix product per layer over an unrolled-window
-view, and the backward pass returns exact gradients of any scalar loss
-given its derivative with respect to the vocal output.
+Forward and backward passes are written directly in numpy. A batch of
+windows is laid out end to end along one time axis, each window between
+its own zero gap columns, and a conv is a sum over its taps of one matrix
+product each: W[:, :, k] @ x[:, k:k+n]. The same per-tap products give
+the weight and input gradients, so the backward pass returns exact
+gradients of any scalar loss given its derivative with respect to the
+vocal output.
 """
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .energy import FilterBank
-from .errors import (
-    CorruptHeader,
-    IncompatibleShape,
-    InvalidConfig,
-    MissingCache,
-    ShapeMismatch,
-)
+from .errors import CorruptHeader, IncompatibleShape, InvalidConfig, ShapeMismatch
 
 LEAKY_SLOPE = 0.3
 
@@ -129,15 +126,10 @@ class SepNet:
 
 @dataclass
 class SepOutput:
-    """Separated sources for one mixture window.
-
-    cache holds forward intermediates needed by backward(); it is None for
-    outputs that were reconstructed rather than produced by forward().
-    """
+    """Separated sources for one mixture window."""
 
     vocals: np.ndarray
     accompaniment: np.ndarray
-    cache: "ForwardCache | None" = None
 
 
 @dataclass
@@ -184,16 +176,30 @@ def init_net(config: NetConfig) -> SepNet:
     return SepNet(config, layers)
 
 
+def _gapped(x: np.ndarray, pad: int) -> np.ndarray:
+    """Lay a (B, C, T) batch out as (C, B * (T + 2 * pad)): windows end to
+    end, each with its own pad zero columns on both sides."""
+    batch, c, t = x.shape
+    xs = np.zeros((c, batch, t + 2 * pad))
+    xs[:, :, pad : pad + t] = x.transpose(1, 0, 2)
+    return xs.reshape(c, -1)
+
+
 def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-padded 1D convolution: (B, C_in, T) -> (B, C_out, T)."""
     batch, _, t = x.shape
-    c_out, c_in, kernel = weights.shape
+    c_out, _, kernel = weights.shape
     pad = (kernel - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
-    cols = windows.transpose(0, 2, 1, 3).reshape(batch * t, c_in * kernel)
-    y = cols @ weights.reshape(c_out, -1).T
-    return y.reshape(batch, t, c_out).transpose(0, 2, 1) + bias[:, None]
+    xs = _gapped(x, pad)
+    n = xs.shape[1] - 2 * pad
+    y = np.empty((c_out, xs.shape[1]))
+    np.matmul(weights[:, :, 0], xs[:, :n], out=y[:, :n])
+    tap = np.empty((c_out, n))
+    for k in range(1, kernel):
+        np.matmul(weights[:, :, k], xs[:, k : k + n], out=tap)
+        y[:, :n] += tap
+    y[:, :n] += bias[:, None]
+    return y.reshape(c_out, batch, -1)[:, :, :t].transpose(1, 0, 2)
 
 
 def _conv_backward(
@@ -203,17 +209,26 @@ def _conv_backward(
     batch, _, t = x.shape
     c_out, c_in, kernel = weights.shape
     pad = (kernel - 1) // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad))) if pad else x
-    windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=2)
-    cols = windows.transpose(0, 2, 1, 3).reshape(batch * t, c_in * kernel)
-    d_flat = d_out.transpose(0, 2, 1).reshape(batch * t, c_out)
-    d_weights = (d_flat.T @ cols).reshape(c_out, c_in, kernel)
+    xs = _gapped(x, pad)
+    n = xs.shape[1] - 2 * pad
+    # Output column j of the gapped layout reads input columns j .. j+K-1;
+    # d_out sits in the same columns as the forward output, with zeros in
+    # the gap columns, so no window's gradient reaches its neighbour.
+    ds = _gapped(d_out, pad)[:, pad : pad + n]
+    d_weights = np.empty((kernel, c_out, c_in))
+    for k in range(kernel):
+        np.matmul(ds, xs[:, k : k + n].T, out=d_weights[k])
     d_bias = d_out.sum(axis=(0, 2))
-    # d_input is the same conv applied to d_out with channels swapped and
-    # taps reversed; same padding keeps this exact for odd kernels.
-    flipped = np.ascontiguousarray(weights[:, :, ::-1].transpose(1, 0, 2))
-    d_input = _conv_forward(d_out, flipped, np.zeros(c_in))
-    return d_weights, d_bias, d_input
+    # d_input is the exact adjoint of the forward sum over taps.
+    dxs = np.empty_like(xs)
+    np.matmul(weights[:, :, 0].T, ds, out=dxs[:, :n])
+    dxs[:, n:] = 0.0
+    tap = np.empty((c_in, n))
+    for k in range(1, kernel):
+        np.matmul(weights[:, :, k].T, ds, out=tap)
+        dxs[:, k : k + n] += tap
+    d_input = dxs.reshape(c_in, batch, -1)[:, :, pad : pad + t].transpose(1, 0, 2)
+    return np.ascontiguousarray(d_weights.transpose(1, 2, 0)), d_bias, d_input
 
 
 def _leaky(x: np.ndarray) -> np.ndarray:
@@ -329,20 +344,9 @@ def forward(net: SepNet, mixture: np.ndarray) -> SepOutput:
     mixture = np.asarray(mixture, dtype=np.float64)
     if mixture.ndim != 1:
         raise ShapeMismatch(f"mixture must be 1-D, got shape {mixture.shape}")
-    vocals, cache = forward_batch(net, mixture[None, :])
+    vocals, _ = forward_batch(net, mixture[None, :])
     v = vocals[0]
-    return SepOutput(v, mixture - v, cache)
-
-
-def backward(net: SepNet, output: SepOutput, d_vocals: np.ndarray) -> list[np.ndarray]:
-    """Parameter gradients for a forward() output. Raises MissingCache if the
-    output carries no forward cache."""
-    if output.cache is None:
-        raise MissingCache("output has no forward cache; rerun forward() to get one")
-    d_vocals = np.asarray(d_vocals, dtype=np.float64)
-    if d_vocals.ndim == 1:
-        d_vocals = d_vocals[None, :]
-    return backward_batch(net, output.cache, d_vocals)
+    return SepOutput(v, mixture - v)
 
 
 def collect_filter_banks(net: SepNet, include_output: bool = False) -> list[FilterBank]:

@@ -7,16 +7,14 @@ from hypersep.errors import (
     CorruptHeader,
     IncompatibleShape,
     InvalidConfig,
-    MissingCache,
     ShapeMismatch,
 )
 from hypersep.net import (
     NetConfig,
-    SepOutput,
+    _conv_backward,
     _conv_forward,
     _upsample,
     _upsample_backward,
-    backward,
     backward_batch,
     collect_filter_banks,
     forward,
@@ -127,13 +125,51 @@ class TestInit:
             assert np.array_equal(layer.bias, np.zeros(c_out))
 
 
+# (batch, c_in, c_out, kernel, t): B=3 with K=15 shows any bleed across
+# the gaps between windows; C_in=1 is the first encoder conv; K=1 the
+# output conv; T=4 < K=5 the bottleneck shape of the tiny config.
+CONV_SHAPES = {
+    "base": (1, 2, 3, 5, 9),
+    "gaps": (3, 2, 3, 15, 20),
+    "c_in1": (2, 1, 4, 5, 11),
+    "k1": (2, 3, 2, 1, 7),
+    "t_lt_k": (2, 3, 4, 5, 4),
+}
+
+
+def random_conv(shape, seed):
+    batch, c_in, c_out, kernel, t = shape
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, c_in, t))
+    w = rng.standard_normal((c_out, c_in, kernel))
+    return rng, x, w
+
+
 class TestConvAndResampling:
-    def test_conv_matches_loop_oracle(self):
-        rng = np.random.default_rng(71)
-        x = rng.standard_normal((1, 2, 9))
-        w = rng.standard_normal((3, 2, 5))
-        b = rng.standard_normal(3)
-        np.testing.assert_allclose(_conv_forward(x, w, b)[0], conv_oracle(x[0], w, b), rtol=1e-12)
+    @pytest.mark.parametrize("shape", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+    def test_conv_matches_loop_oracle(self, shape):
+        rng, x, w = random_conv(shape, 71)
+        b = rng.standard_normal(w.shape[0])
+        y = _conv_forward(x, w, b)
+        for item in range(x.shape[0]):
+            np.testing.assert_allclose(y[item], conv_oracle(x[item], w, b), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+    def test_conv_backward_is_adjoint(self, shape):
+        """d_weights and d_input are the adjoints of the conv in w and in x."""
+        rng, x, w = random_conv(shape, 78)
+        d = rng.standard_normal((x.shape[0], w.shape[0], x.shape[2]))
+        v = rng.standard_normal(w.shape)
+        u = rng.standard_normal(x.shape)
+        d_weights, d_bias, d_input = _conv_backward(x, w, d)
+        zero = np.zeros(w.shape[0])
+
+        def pair(arg, weights):
+            return sum(float(np.sum(d[i] * conv_oracle(arg[i], weights, zero))) for i in range(len(d)))
+
+        assert pair(x, v) == pytest.approx(float(np.sum(d_weights * v)), rel=1e-12)
+        assert pair(u, w) == pytest.approx(float(np.sum(d_input * u)), rel=1e-12)
+        np.testing.assert_array_equal(d_bias, d.sum(axis=(0, 2)))
 
     def test_kernel_one_conv_is_channel_mix(self):
         rng = np.random.default_rng(72)
@@ -191,12 +227,6 @@ class TestForward:
             forward(net, np.zeros(17))
         with pytest.raises(ShapeMismatch):
             forward_batch(net, np.zeros((2, 8)))
-
-    def test_backward_without_cache_raises(self):
-        net = init_net(tiny_config())
-        out = SepOutput(np.zeros(16), np.zeros(16), cache=None)
-        with pytest.raises(MissingCache):
-            backward(net, out, np.ones(16))
 
 
 class TestBackward:
