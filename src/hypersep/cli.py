@@ -6,7 +6,7 @@ thomson (sphere-energy minimization printed as CSV), and energy-inspect
 (per-layer filter diversity of a saved checkpoint).
 
 Exit codes: 0 success, 1 usage error (bad or unknown flags), 2 runtime
-error (bad files, invalid configs, failed contracts).
+error (bad files, invalid configs, diverged training, failed contracts).
 """
 
 import argparse
@@ -18,6 +18,7 @@ from pathlib import Path
 from .dataset import generate_dataset, load_manifest, load_split
 from .energy import MheConfig, normalized_layer_energy
 from .errors import EmptyDataset, HypersepError, InvalidConfig, IoError
+from .fileio import write_atomic
 from .net import collect_filter_banks, init_net, load_checkpoint, save_checkpoint
 from .sdr import evaluate_songs
 from .thomson import minimize_energy, reference_energy, shape_for_points
@@ -145,10 +146,7 @@ def _cmd_energy_inspect(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        try:
-            Path(args.out).write_text(text)
-        except OSError as exc:
-            raise IoError(f"cannot write {args.out}: {exc}") from exc
+        write_atomic(args.out, text.encode())
         print(f"wrote {len(banks)} layer rows to {args.out}")
     else:
         print(text, end="")

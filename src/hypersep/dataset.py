@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, IoError, LengthMismatch
+from .fileio import write_atomic
 from .wavio import quantize_pcm16, read_wav, write_wav
 
 MANIFEST_FORMAT = "hypersep-dataset-v1"
@@ -205,10 +206,7 @@ def save_manifest(manifest: DatasetManifest, path=None) -> Path:
         "songs": manifest.songs,
         "splits": manifest.splits,
     }
-    try:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
     return path
 
 

@@ -60,6 +60,17 @@ class IoError(HypersepError):
     """An underlying filesystem operation failed."""
 
 
+class Diverged(HypersepError):
+    """Training produced a non-finite loss or parameter (iteration None: the validation loss)."""
+
+    def __init__(self, epoch: int, iteration: int | None, layer_id: int | None, what: str):
+        self.epoch = epoch
+        self.iteration = iteration
+        self.layer_id = layer_id
+        where = f"epoch {epoch}" if iteration is None else f"epoch {epoch}, iteration {iteration}"
+        super().__init__(f"training diverged at {where}: {what} is not finite")
+
+
 class CorruptHeader(HypersepError):
     """A binary file (WAV or checkpoint) fails structural validation."""
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .energy import FilterBank
 from .errors import CorruptHeader, IncompatibleShape, InvalidConfig, ShapeMismatch
+from .fileio import write_atomic
 
 LEAKY_SLOPE = 0.3
 
@@ -119,9 +120,6 @@ class SepNet:
             self.config,
             [ConvLayer(l.role, l.level, l.weights.copy(), l.bias.copy()) for l in self.layers],
         )
-
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters())
 
 
 @dataclass
@@ -349,24 +347,18 @@ def forward(net: SepNet, mixture: np.ndarray) -> SepOutput:
     return SepOutput(v, mixture - v)
 
 
-def collect_filter_banks(net: SepNet, include_output: bool = False) -> list[FilterBank]:
+def collect_filter_banks(net: SepNet) -> list[FilterBank]:
     """Hidden-layer conv weights flattened to (out_channels, in_channels * kernel).
 
     Down and up convs always count as hidden; the bottleneck conv counts
     only when the config marks it as its own layer; the kernel-1 output
-    conv is included only on request. Each bank's layer_id is the conv's
-    index in net.layers, and its weights are a reshape view of the live
-    parameter array.
+    conv never does. Each bank's layer_id is the conv's index in
+    net.layers, and its weights are a reshape view of the live parameter
+    array.
     """
     banks = []
     for idx, layer in enumerate(net.layers):
-        if layer.role in ("down", "up"):
-            wanted = True
-        elif layer.role == "bottleneck":
-            wanted = net.config.bottleneck_own_layer
-        else:
-            wanted = include_output
-        if wanted:
+        if layer.role in ("down", "up") or (layer.role == "bottleneck" and net.config.bottleneck_own_layer):
             c_out = layer.weights.shape[0]
             banks.append(FilterBank(layer.weights.reshape(c_out, -1), layer_id=idx))
     return banks
@@ -415,13 +407,8 @@ def save_checkpoint(net: SepNet, path) -> None:
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for layer in net.layers:
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+    params = [np.ascontiguousarray(p, dtype="<f8").tobytes() for p in net.parameters()]
+    write_atomic(path, b"".join([_MAGIC, struct.pack("<I", len(blob)), blob, *params]))
 
 
 def load_checkpoint(path) -> SepNet:

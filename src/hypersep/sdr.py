@@ -14,12 +14,12 @@ median/MAD over song medians, SD over song means) and pooled statistics
 over all segments of all songs.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptySignal, InvalidConfig, LengthMismatch
+from .fileio import write_csv_rows
 from .net import SepNet, separate_signal
 
 SDR_EPS = 1e-20
@@ -96,23 +96,17 @@ class SdrReport:
     silent_segments: dict[str, int] = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["song", "source", "segments", "mean", "median", "sd", "mad"])
-            for s in self.songs:
-                writer.writerow(
-                    [s.song, s.source, s.segments, repr(s.mean), repr(s.median), repr(s.sd), repr(s.mad)]
-                )
-            for source, stats in self.song_level.items():
-                writer.writerow(
-                    ["dataset_song_level", source, stats.count,
-                     repr(stats.mean), repr(stats.median), repr(stats.sd), repr(stats.mad)]
-                )
-            for source, stats in self.pooled.items():
-                writer.writerow(
-                    ["dataset_pooled", source, stats.count,
-                     repr(stats.mean), repr(stats.median), repr(stats.sd), repr(stats.mad)]
-                )
+        rows = [["song", "source", "segments", "mean", "median", "sd", "mad"]]
+        rows += [
+            [s.song, s.source, s.segments, repr(s.mean), repr(s.median), repr(s.sd), repr(s.mad)]
+            for s in self.songs
+        ]
+        for label, table in (("dataset_song_level", self.song_level), ("dataset_pooled", self.pooled)):
+            rows += [
+                [label, source, stats.count, repr(stats.mean), repr(stats.median), repr(stats.sd), repr(stats.mad)]
+                for source, stats in table.items()
+            ]
+        write_csv_rows(path, rows)
 
 
 def _stats(values: list[float]) -> tuple[float, float, float, float]:

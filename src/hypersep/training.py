@@ -4,17 +4,17 @@ The protocol is two-phase. Phase one trains with Adam on random fixed-length
 crops, augmenting each crop by attenuating the vocals with a uniform factor
 and resynthesizing the mixture; after every epoch (a fixed iteration count)
 the full validation split is scored and training stops once the validation
-loss has not improved for `patience_epochs` epochs. Phase two (fine-tuning)
-restarts from the best phase-one parameters with the batch size doubled, a
-much smaller learning rate, and a fresh optimizer state, keeping whichever
-checkpoint scores best overall.
+loss (MSE plus penalty) has not improved for `patience_epochs` epochs. Phase
+two (fine-tuning) runs the same loop from the best phase-one parameters, scored
+first as epoch 0, with the batch size doubled, a much smaller learning rate,
+and a fresh optimizer state, keeping whichever checkpoint scores best overall.
+A non-finite loss or parameter raises Diverged at once.
 
 Everything is driven by one master seed: sampling and augmentation get
 independent child streams, and the stream consumption per iteration is
 fixed, so runs with different patience settings see identical batches.
 """
 
-import csv
 import dataclasses
 import time
 from dataclasses import dataclass, field, replace
@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .energy import MheConfig, mhe_penalty
-from .errors import EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch
+from .errors import Diverged, EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch
+from .fileio import write_csv_rows
 from .net import NetConfig, SepNet, backward_batch, collect_filter_banks, forward_batch
 
 LAMBDA_MODES = ("half_inv_L", "inv_L", "one", "custom", "off")
@@ -51,8 +52,6 @@ class TrainConfig:
     mhe: MheConfig = field(default_factory=MheConfig)
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
     augment_range: tuple[float, float] = (0.7, 1.0)
-    include_output_layer: bool = False
-    loss_on_both: bool = False
     seed: int = 0
 
     def validate(self) -> None:
@@ -182,15 +181,9 @@ def compute_loss(
     vocals, cache = forward_batch(net, mixtures)
     err = vocals - targets
     mse = float(np.mean(err * err))
-    if cfg.loss_on_both:
-        # The accompaniment error is the negated vocal error (both sources
-        # share the mixture), so averaging the two terms changes neither
-        # the value nor the gradient; computed literally anyway.
-        acc_err = (mixtures - vocals) - (mixtures - targets)
-        mse = 0.5 * (mse + float(np.mean(acc_err * acc_err)))
     d_vocals = (2.0 / err.size) * err
     grads = backward_batch(net, cache, d_vocals)
-    banks = collect_filter_banks(net, include_output=cfg.include_output_layer)
+    banks = collect_filter_banks(net)
     lam = resolve_lambda(cfg, len(banks))
     if lam == 0.0:
         return mse, mse, 0.0, grads
@@ -221,14 +214,13 @@ class TrainLog:
             raise InvalidConfig("log epochs must be strictly increasing")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "mse", "mhe_penalty", "val_loss", "lambda", "seconds", "val_mse"])
-            for r in self.records:
-                writer.writerow(
-                    [r.epoch, repr(r.train_mse), repr(r.mhe_penalty), repr(r.val_loss),
-                     repr(r.lambda_h), repr(r.seconds), repr(r.val_mse)]
-                )
+        rows = [["epoch", "mse", "mhe_penalty", "val_loss", "lambda", "seconds", "val_mse"]]
+        rows += [
+            [r.epoch, repr(r.train_mse), repr(r.mhe_penalty), repr(r.val_loss),
+             repr(r.lambda_h), repr(r.seconds), repr(r.val_mse)]
+            for r in self.records
+        ]
+        write_csv_rows(path, rows)
 
 
 @dataclass
@@ -247,10 +239,10 @@ class EarlyStopper:
     with patience 10 trains through epoch 15 and then halts.
     """
 
-    def __init__(self, patience: int, best_loss: float = np.inf, best_epoch: int = 0):
+    def __init__(self, patience: int):
         self.patience = patience
-        self.best_loss = best_loss
-        self.best_epoch = best_epoch
+        self.best_loss = np.inf
+        self.best_epoch = 0
 
     def observe(self, epoch: int, loss: float) -> bool:
         if loss < self.best_loss:
@@ -305,20 +297,28 @@ def validation_mse(net: SepNet, songs, batch_size: int) -> float:
     return total_sq / total_n
 
 
-def _current_penalty(net: SepNet, cfg: TrainConfig, lam: float) -> float:
-    if lam == 0.0:
-        return 0.0
-    banks = collect_filter_banks(net, include_output=cfg.include_output_layer)
-    return mhe_penalty(banks, cfg.mhe, lam)[0]
+def _validation_loss(net: SepNet, val_songs, cfg: TrainConfig, lam: float, epoch: int) -> tuple[float, float]:
+    """Validation MSE and the current penalty, whose sum drives early stopping."""
+    val = validation_mse(net, val_songs, cfg.batch_size)
+    penalty = mhe_penalty(collect_filter_banks(net), cfg.mhe, lam)[0] if lam else 0.0
+    if not np.isfinite(val + penalty):
+        raise Diverged(epoch, None, None, "the validation loss")
+    return val, penalty
+
+
+def _check_finite(loss: float, params: list[np.ndarray], epoch: int, iteration: int) -> None:
+    # A non-finite gradient reaches the parameters through the Adam update.
+    if not np.isfinite(loss):
+        raise Diverged(epoch, iteration, None, "the training loss")
+    for i, p in enumerate(params):
+        if not np.isfinite(p).all():
+            raise Diverged(epoch, iteration, i // 2, f"layer {i // 2} {('weights', 'bias')[i % 2]}")
 
 
 def _run_training(
-    net: SepNet,
-    dataset,
-    cfg: TrainConfig,
-    seed_seq: np.random.SeedSequence,
-    baseline: tuple[float, int] | None = None,
+    net: SepNet, dataset, cfg: TrainConfig, seed_seq: np.random.SeedSequence, score_start: bool
 ) -> TrainResult:
+    """The epoch loop of both phases; score_start scores the input and keeps it as epoch 0."""
     cfg.validate()
     window = net.config.input_len
     train_songs = _eligible(dataset.train, window)
@@ -334,12 +334,11 @@ def _run_training(
 
     params = net.parameters()
     state = AdamState.for_params(params)
-    lam = resolve_lambda(cfg, len(collect_filter_banks(net, include_output=cfg.include_output_layer)))
+    lam = resolve_lambda(cfg, len(collect_filter_banks(net)))
 
-    if baseline is None:
-        stopper = EarlyStopper(cfg.patience_epochs)
-    else:
-        stopper = EarlyStopper(cfg.patience_epochs, best_loss=baseline[0], best_epoch=baseline[1])
+    stopper = EarlyStopper(cfg.patience_epochs)
+    if score_start:
+        stopper.observe(0, sum(_validation_loss(net, val_songs, cfg, lam, 0)))
     best_net = net.clone()
 
     records: list[EpochRecord] = []
@@ -348,13 +347,13 @@ def _run_training(
         epoch += 1
         started = time.perf_counter()
         mse_sum = 0.0
-        for _ in range(cfg.iterations_per_epoch):
+        for iteration in range(1, cfg.iterations_per_epoch + 1):
             batch = _sample_batch(train_songs, cfg, window, rng_sample, rng_aug)
-            _, mse, _, grads = compute_loss(net, batch, cfg)
+            loss, mse, _, grads = compute_loss(net, batch, cfg)
             adam_step(params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+            _check_finite(loss, params, epoch, iteration)
             mse_sum += mse
-        penalty_now = _current_penalty(net, cfg, lam)
-        val = validation_mse(net, val_songs, cfg.batch_size)
+        val, penalty_now = _validation_loss(net, val_songs, cfg, lam, epoch)
         val_loss = val + penalty_now
         records.append(
             EpochRecord(
@@ -371,8 +370,7 @@ def _run_training(
             best_net = net.clone()
         if stopper.should_stop(epoch):
             break
-    best_loss = stopper.best_loss if np.isfinite(stopper.best_loss) else float("inf")
-    return TrainResult(best_net, TrainLog(records), stopper.best_epoch, best_loss)
+    return TrainResult(best_net, TrainLog(records), stopper.best_epoch, stopper.best_loss)
 
 
 def train(net: SepNet, dataset, cfg: TrainConfig) -> TrainResult:
@@ -383,7 +381,7 @@ def train(net: SepNet, dataset, cfg: TrainConfig) -> TrainResult:
     carries the best-validation checkpoint; `net` itself is left at its
     final (not necessarily best) state.
     """
-    return _run_training(net, dataset, cfg, np.random.SeedSequence(cfg.seed))
+    return _run_training(net, dataset, cfg, np.random.SeedSequence(cfg.seed), score_start=False)
 
 
 def derive_finetune_config(cfg: TrainConfig) -> TrainConfig:
@@ -399,30 +397,14 @@ def derive_finetune_config(cfg: TrainConfig) -> TrainConfig:
 def finetune(best: SepNet, dataset, cfg: TrainConfig) -> TrainResult:
     """Phase two: continue from a trained checkpoint with fresh Adam state.
 
-    The incoming checkpoint's validation loss is scored first and acts as
-    the early-stopping baseline, so the result is never worse than its
-    input; with max_epochs=0 in finetune config the input comes back
-    unchanged.
+    The incoming checkpoint is scored at the phase-two batch size and kept
+    as epoch 0, so the result is never worse than its input; with
+    max_epochs=0 in finetune config the input comes back unchanged. `best`
+    itself is not modified.
     """
-    ft_cfg = derive_finetune_config(cfg)
-    ft_cfg.validate()
-    window = best.config.input_len
-    val_songs = _eligible(dataset.validation, window)
-    if not val_songs:
-        raise EmptyDataset(f"no validation song reaches the {window}-sample window")
-    lam = resolve_lambda(ft_cfg, len(collect_filter_banks(best, include_output=ft_cfg.include_output_layer)))
-    baseline_loss = validation_mse(best, val_songs, ft_cfg.batch_size) + _current_penalty(best, ft_cfg, lam)
-    working = best.clone()
-    result = _run_training(
-        working,
-        dataset,
-        ft_cfg,
-        np.random.SeedSequence([cfg.seed, 1]),
-        baseline=(baseline_loss, 0),
+    return _run_training(
+        best.clone(), dataset, derive_finetune_config(cfg), np.random.SeedSequence([cfg.seed, 1]), score_start=True
     )
-    if result.best_epoch == 0:
-        return TrainResult(best.clone(), result.log, 0, baseline_loss)
-    return result
 
 
 def _from_mapping(cls, data: dict, context: str):

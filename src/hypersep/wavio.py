@@ -13,6 +13,7 @@ import struct
 import numpy as np
 
 from .errors import CorruptHeader, InvalidConfig, IoError, UnsupportedFormat
+from .fileio import write_atomic
 
 _SCALE = 32768.0
 
@@ -87,9 +88,4 @@ def write_wav(path, signal: np.ndarray, sample_rate: int) -> None:
             struct.pack("<I", len(payload)),
         ]
     )
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(payload)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, header + payload)

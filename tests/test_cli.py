@@ -185,3 +185,27 @@ class TestPipeline:
                   "--out", str(tmp_path / "x.ckpt")])
         assert rc == 2
         assert "depht" in capsys.readouterr().err
+
+    def _train(self, pipeline, tmp_path, **overrides):
+        cfg = json.loads(pipeline["config"].read_text())
+        cfg.update(overrides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return cli(["train", "--config", str(path), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "x.ckpt"), "--log", str(tmp_path / "log.csv")])
+
+    def test_finetune_log_continues_epoch_numbering(self, pipeline, tmp_path, capsys):
+        # patience above max_epochs: each phase runs exactly two epochs
+        rc = self._train(pipeline, tmp_path, patience_epochs=5, max_epochs=2,
+                         finetune={"enabled": True, "max_epochs": 2})
+        assert rc == 0
+        assert "finetune: best epoch" in capsys.readouterr().out
+        rows = (tmp_path / "log.csv").read_text().strip().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [1, 2, 3, 4]
+
+    def test_divergence_exits_2_without_checkpoint(self, pipeline, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = self._train(pipeline, tmp_path, learning_rate=1e200)
+        assert rc == 2
+        assert "training diverged at epoch 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()

@@ -277,7 +277,6 @@ class TestFilterBanks:
         cfg = NetConfig(depth=2, base_features=4, input_len=16, seed=0, bottleneck_own_layer=True)
         net = init_net(cfg)
         assert len(collect_filter_banks(net)) == 5
-        assert len(collect_filter_banks(net, include_output=True)) == 6
 
     def test_bank_rows_flatten_channel_major_then_tap(self):
         net = init_net(tiny_config(seed=2))
@@ -295,7 +294,7 @@ class TestFilterBanks:
 
     def test_layer_ids_index_into_layers(self):
         net = init_net(tiny_config(seed=2))
-        for bank in collect_filter_banks(net, include_output=True):
+        for bank in collect_filter_banks(net):
             layer = net.layers[bank.layer_id]
             assert bank.weights.size == layer.weights.size
 

@@ -5,8 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from hypersep import training
 from hypersep.energy import MheConfig, mhe_penalty
-from hypersep.errors import EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch
+from hypersep.errors import Diverged, EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch
 from hypersep.net import NetConfig, collect_filter_banks, init_net
 from hypersep.training import (
     AdamState,
@@ -151,6 +152,11 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             net_config_from_dict({"dept": 2})
 
+    @pytest.mark.parametrize("key", ["loss_on_both", "include_output_layer"])
+    def test_removed_keys_rejected_by_name(self, key):
+        with pytest.raises(InvalidConfig, match=key):
+            train_config_from_dict({key: False})
+
 
 class TestAdam:
     def test_first_step_delta(self):
@@ -239,15 +245,6 @@ class TestComputeLoss:
         banks = collect_filter_banks(net)
         lam = resolve_lambda(cfg, len(banks))
         assert penalty == mhe_penalty(banks, cfg.mhe, lam)[0]
-
-    def test_loss_on_both_matches_vocal_only(self):
-        """The accompaniment term mirrors the vocal term, so values agree."""
-        net = tiny_net(seed=2)
-        rng = np.random.default_rng(85)
-        batch = (rng.uniform(-1, 1, (2, 16)), rng.uniform(-0.5, 0.5, (2, 16)))
-        plain = compute_loss(net, batch, tiny_cfg(lambda_mode="off"))
-        both = compute_loss(net, batch, tiny_cfg(lambda_mode="off", loss_on_both=True))
-        assert both[1] == pytest.approx(plain[1], rel=1e-15)
 
     @pytest.mark.parametrize("mode", ["off", "inv_L"])
     def test_total_gradient_matches_finite_differences(self, mode):
@@ -365,6 +362,33 @@ class TestTrainLoop:
             train(tiny_net(), split, tiny_cfg())
 
 
+class TestDivergence:
+    @pytest.mark.parametrize("mode", ["inv_L", "off"])
+    def test_huge_learning_rate_raises_diverged_in_first_epoch(self, mode):
+        with pytest.raises(Diverged) as info, np.errstate(over="ignore", invalid="ignore"):
+            train(tiny_net(seed=4), make_split(seed=1), tiny_cfg(learning_rate=1e200, lambda_mode=mode))
+        assert info.value.epoch == 1
+        assert info.value.iteration is not None
+
+    def test_nonfinite_parameter_names_its_layer(self, monkeypatch):
+        real_step = training.adam_step
+
+        def poisoned_step(params, *args):
+            real_step(params, *args)
+            params[3][0] = np.nan  # layer 1 bias
+
+        monkeypatch.setattr(training, "adam_step", poisoned_step)
+        with pytest.raises(Diverged, match="layer 1 bias") as info:
+            train(tiny_net(seed=4), make_split(seed=1), tiny_cfg())
+        assert (info.value.epoch, info.value.iteration, info.value.layer_id) == (1, 1, 1)
+
+    def test_nonfinite_validation_loss_stops_at_once(self, monkeypatch):
+        monkeypatch.setattr(training, "validation_mse", lambda *args: np.nan)
+        with pytest.raises(Diverged, match="validation loss") as info:
+            train(tiny_net(seed=4), make_split(seed=1), tiny_cfg())
+        assert (info.value.epoch, info.value.iteration, info.value.layer_id) == (1, None, None)
+
+
 class TestFinetune:
     def test_derived_config_doubles_batch_and_drops_lr(self):
         cfg = TrainConfig(batch_size=16)
@@ -392,6 +416,27 @@ class TestFinetune:
         # revalidation at the doubled batch size reorders float sums, so
         # allow rounding-level slack on the comparison
         assert result.best_val_loss <= phase1.best_val_loss * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "ft", [FinetuneConfig(max_epochs=0), FinetuneConfig(max_epochs=2, learning_rate=0.3)], ids=["zero", "worse"]
+    )
+    def test_no_improving_epoch_returns_input_and_its_score(self, ft):
+        """The input, scored at the doubled batch size, is kept as epoch 0."""
+        data = make_split(seed=5)
+        cfg = tiny_cfg(finetune=ft)
+        start = train(tiny_net(seed=8), data, tiny_cfg(max_epochs=2)).net
+        before = start.clone()
+        result = finetune(start, data, cfg)
+        assert result.best_epoch == 0
+        assert len(result.log.records) == ft.max_epochs
+        banks = collect_filter_banks(start)
+        expected = validation_mse(start, data.validation, 2 * cfg.batch_size) + mhe_penalty(
+            banks, cfg.mhe, resolve_lambda(cfg, len(banks))
+        )[0]
+        assert result.best_val_loss == expected
+        for la, lb, lc in zip(before.layers, start.layers, result.net.layers):
+            assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.weights, lc.weights)
+            assert np.array_equal(la.bias, lb.bias) and np.array_equal(la.bias, lc.bias)
 
 
 class TestTrainLog:
