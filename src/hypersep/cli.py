@@ -17,12 +17,13 @@ from pathlib import Path
 
 from .dataset import generate_dataset, load_manifest, load_split
 from .energy import MheConfig, normalized_layer_energy
-from .errors import EmptyDataset, HypersepError, InvalidConfig, IoError
+from .errors import Diverged, EmptyDataset, HypersepError, InvalidConfig, IoError
 from .fileio import write_atomic
 from .net import collect_filter_banks, init_net, load_checkpoint, save_checkpoint
 from .sdr import evaluate_songs
 from .thomson import minimize_energy, reference_energy, shape_for_points
 from .training import (
+    EpochRecord,
     TrainLog,
     finetune,
     mhe_config_from_dict,
@@ -72,24 +73,36 @@ def _cmd_train(args) -> int:
     data = load_split(load_manifest(args.data))
     net = init_net(net_cfg)
 
-    result = train(net, data, cfg)
-    records = list(result.log.records)
-    best = result.net
-    print(f"training: best epoch {result.best_epoch}, validation loss {result.best_val_loss:.6e}")
+    records: list[EpochRecord] = []
+    try:
+        result = train(net, data, cfg)
+        _append_phase(records, result.log.records)
+        best = result.net
+        print(f"training: best epoch {result.best_epoch}, validation loss {result.best_val_loss:.6e}")
 
-    if cfg.finetune.enabled:
-        ft = finetune(best, data, cfg)
-        offset = records[-1].epoch if records else 0
-        records += [dataclasses.replace(r, epoch=r.epoch + offset) for r in ft.log.records]
-        best = ft.net
-        print(f"finetune: best epoch {ft.best_epoch}, validation loss {ft.best_val_loss:.6e}")
+        if cfg.finetune.enabled:
+            ft = finetune(best, data, cfg)
+            _append_phase(records, ft.log.records)
+            best = ft.net
+            print(f"finetune: best epoch {ft.best_epoch}, validation loss {ft.best_val_loss:.6e}")
 
-    save_checkpoint(best, args.out)
-    print(f"checkpoint written to {args.out}")
-    if args.log:
-        TrainLog(records).write_csv(args.log)
-        print(f"log written to {args.log}")
+        save_checkpoint(best, args.out)
+        print(f"checkpoint written to {args.out}")
+    except Diverged as exc:
+        _append_phase(records, exc.records)
+        raise
+    finally:
+        # Also on failure: the log then holds the epochs that completed.
+        if args.log:
+            TrainLog(records).write_csv(args.log)
+            print(f"log written to {args.log}")
     return 0
+
+
+def _append_phase(records: list[EpochRecord], phase: list[EpochRecord]) -> None:
+    """Append one phase's epochs, numbered on from the last epoch so far."""
+    offset = records[-1].epoch if records else 0
+    records += [dataclasses.replace(r, epoch=r.epoch + offset) for r in phase]
 
 
 def _cmd_evaluate(args) -> int:

@@ -16,11 +16,16 @@ product each: W[:, :, k] @ x[:, k:k+n]. The same per-tap products give
 the weight and input gradients, so the backward pass returns exact
 gradients of any scalar loss given its derivative with respect to the
 vocal output.
+
+The forward cache holds only each conv's output activation; both passes
+rebuild a conv's input from it with ForwardCache.conv_input, as channel
+blocks that go straight into their rows of the gapped layout, and backward
+reads the LeakyReLU slope off the activation (act > 0 exactly when pre > 0).
 """
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -132,10 +137,32 @@ class SepOutput:
 
 @dataclass
 class ForwardCache:
+    """A batch's mixtures and the output activation of every conv so far."""
+
+    layers: list[ConvLayer]
     mixtures: np.ndarray
-    conv_inputs: list[np.ndarray]
-    pre_activations: list[np.ndarray]
-    vocals: np.ndarray
+    activations: list[np.ndarray] = field(default_factory=list)
+
+    def conv_input(self, idx: int) -> list[np.ndarray]:
+        """Conv idx's input as (B, C_i, T) channel blocks; level l's skip is conv l - 1."""
+        if idx == 0:
+            return [self.mixtures[:, None, :]]
+        prev = self.activations[idx - 1]
+        if self.layers[idx - 1].role == "down":
+            prev = prev[:, :, ::2]
+        layer = self.layers[idx]
+        if layer.role == "up":
+            return [_upsample(prev), self.activations[layer.level - 1]]
+        return [prev]
+
+    @property
+    def conv_inputs(self) -> list[np.ndarray]:
+        """Every conv's input as one array, concatenated on demand."""
+        return [np.concatenate(self.conv_input(i), axis=1) for i in range(len(self.activations))]
+
+    @property
+    def vocals(self) -> np.ndarray:
+        return self.activations[-1][:, 0, :]
 
 
 def _layer_plan(config: NetConfig) -> list[tuple[str, int, int, int, int]]:
@@ -174,18 +201,21 @@ def init_net(config: NetConfig) -> SepNet:
     return SepNet(config, layers)
 
 
-def _gapped(x: np.ndarray, pad: int) -> np.ndarray:
-    """Lay a (B, C, T) batch out as (C, B * (T + 2 * pad)): windows end to
-    end, each with its own pad zero columns on both sides."""
-    batch, c, t = x.shape
-    xs = np.zeros((c, batch, t + 2 * pad))
-    xs[:, :, pad : pad + t] = x.transpose(1, 0, 2)
-    return xs.reshape(c, -1)
+def _gapped(blocks: list[np.ndarray], pad: int) -> np.ndarray:
+    """Lay (B, C_i, T) channel blocks out as (sum C_i, B * (T + 2 * pad)): each
+    block in its own rows, windows end to end between pad zero columns."""
+    batch, _, t = blocks[0].shape
+    xs = np.zeros((sum(b.shape[1] for b in blocks), batch, t + 2 * pad))
+    row = 0
+    for block in blocks:
+        xs[row : row + block.shape[1], :, pad : pad + t] = block.transpose(1, 0, 2)
+        row += block.shape[1]
+    return xs.reshape(row, -1)
 
 
-def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-padded 1D convolution: (B, C_in, T) -> (B, C_out, T)."""
-    batch, _, t = x.shape
+def _conv_forward(x: list[np.ndarray], weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """Same-padded 1D convolution of (B, C_i, T) channel blocks -> (B, C_out, T)."""
+    batch, _, t = x[0].shape
     c_out, _, kernel = weights.shape
     pad = (kernel - 1) // 2
     xs = _gapped(x, pad)
@@ -201,10 +231,10 @@ def _conv_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
 
 
 def _conv_backward(
-    x: np.ndarray, weights: np.ndarray, d_out: np.ndarray
+    x: list[np.ndarray], weights: np.ndarray, d_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a same-padded conv: returns (d_weights, d_bias, d_input)."""
-    batch, _, t = x.shape
+    """Gradients of a same-padded conv of channel blocks: (d_weights, d_bias, d_input)."""
+    batch, _, t = d_out.shape
     c_out, c_in, kernel = weights.shape
     pad = (kernel - 1) // 2
     xs = _gapped(x, pad)
@@ -212,7 +242,7 @@ def _conv_backward(
     # Output column j of the gapped layout reads input columns j .. j+K-1;
     # d_out sits in the same columns as the forward output, with zeros in
     # the gap columns, so no window's gradient reaches its neighbour.
-    ds = _gapped(d_out, pad)[:, pad : pad + n]
+    ds = _gapped([d_out], pad)[:, pad : pad + n]
     d_weights = np.empty((kernel, c_out, c_in))
     for k in range(kernel):
         np.matmul(ds, xs[:, k : k + n].T, out=d_weights[k])
@@ -231,10 +261,6 @@ def _conv_backward(
 
 def _leaky(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, LEAKY_SLOPE * x)
-
-
-def _leaky_grad(pre: np.ndarray) -> np.ndarray:
-    return np.where(pre > 0, 1.0, LEAKY_SLOPE)
 
 
 def _upsample(x: np.ndarray) -> np.ndarray:
@@ -264,38 +290,11 @@ def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, Forwar
         raise ShapeMismatch(
             f"expected batch shape (B, {net.config.input_len}), got {mixtures.shape}"
         )
-    conv_inputs: list[np.ndarray] = []
-    pre_activations: list[np.ndarray] = []
-    skips: dict[int, np.ndarray] = {}
-    x = mixtures[:, None, :]
-    for layer in net.layers:
-        if layer.role == "down":
-            conv_inputs.append(x)
-            pre = _conv_forward(x, layer.weights, layer.bias)
-            pre_activations.append(pre)
-            act = _leaky(pre)
-            skips[layer.level] = act
-            x = act[:, :, ::2]
-        elif layer.role == "bottleneck":
-            conv_inputs.append(x)
-            pre = _conv_forward(x, layer.weights, layer.bias)
-            pre_activations.append(pre)
-            x = _leaky(pre)
-        elif layer.role == "up":
-            upped = _upsample(x)
-            cat = np.concatenate([upped, skips[layer.level]], axis=1)
-            conv_inputs.append(cat)
-            pre = _conv_forward(cat, layer.weights, layer.bias)
-            pre_activations.append(pre)
-            x = _leaky(pre)
-        else:  # output
-            conv_inputs.append(x)
-            pre = _conv_forward(x, layer.weights, layer.bias)
-            pre_activations.append(pre)
-            x = np.tanh(pre)
-    vocals = x[:, 0, :]
-    cache = ForwardCache(mixtures, conv_inputs, pre_activations, vocals)
-    return vocals, cache
+    cache = ForwardCache(net.layers, mixtures)
+    for idx, layer in enumerate(net.layers):
+        pre = _conv_forward(cache.conv_input(idx), layer.weights, layer.bias)
+        cache.activations.append(np.tanh(pre) if layer.role == "output" else _leaky(pre))
+    return cache.vocals, cache
 
 
 def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> list[np.ndarray]:
@@ -311,24 +310,20 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> li
         )
     grads: list[np.ndarray | None] = [None] * (2 * len(net.layers))
     d_skips: dict[int, np.ndarray] = {}
-    d_cur = np.empty(0)
+    d_cur = d_vocals[:, None, :]
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        if layer.role == "output":
-            d_pre = (d_vocals * (1.0 - cache.vocals**2))[:, None, :]
-        elif layer.role == "down":
-            d_act = np.zeros_like(cache.pre_activations[idx])
+        act = cache.activations[idx]
+        if layer.role == "down":
+            d_act = np.zeros_like(act)
             d_act[:, :, ::2] = d_cur
             d_act += d_skips.pop(layer.level)
-            d_pre = d_act * _leaky_grad(cache.pre_activations[idx])
-        else:
-            d_pre = d_cur * _leaky_grad(cache.pre_activations[idx])
-        d_w, d_b, d_in = _conv_backward(cache.conv_inputs[idx], layer.weights, d_pre)
-        grads[2 * idx] = d_w
-        grads[2 * idx + 1] = d_b
+            d_cur = d_act
+        # Multiply, not np.where(act > 0, d_cur, ...): that reorders d_bias's sum.
+        d_pre = d_cur * (1.0 - act**2 if layer.role == "output" else np.where(act > 0, 1.0, LEAKY_SLOPE))
+        grads[2 * idx], grads[2 * idx + 1], d_in = _conv_backward(cache.conv_input(idx), layer.weights, d_pre)
         if layer.role == "up":
-            # The concat input was [upsampled_below, skip]; the skip half has
-            # as many channels as this layer emits.
+            # The input blocks are [upsampled_below, skip]; the skip has C_out channels.
             below = layer.weights.shape[1] - layer.weights.shape[0]
             d_skips[layer.level] = d_in[:, below:]
             d_cur = _upsample_backward(d_in[:, :below])

@@ -57,13 +57,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise InvalidConfig("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidConfig("learning_rate must be positive and finite")
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 <= beta < 1.0:
                 raise InvalidConfig(f"{name} must lie in [0, 1), got {beta}")
-        if not self.adam_epsilon > 0:
-            raise InvalidConfig("adam_epsilon must be positive")
+        if not 0 < self.adam_epsilon < np.inf:
+            raise InvalidConfig("adam_epsilon must be positive and finite")
         if self.iterations_per_epoch < 1:
             raise InvalidConfig("iterations_per_epoch must be >= 1")
         if self.patience_epochs < 1:
@@ -73,15 +73,15 @@ class TrainConfig:
         if self.lambda_mode not in LAMBDA_MODES:
             raise InvalidConfig(f"lambda_mode must be one of {LAMBDA_MODES}, got {self.lambda_mode!r}")
         if self.lambda_mode == "custom":
-            if self.lambda_value is None or self.lambda_value < 0:
-                raise InvalidConfig("custom lambda_mode needs a non-negative lambda_value")
+            if self.lambda_value is None or not 0 <= self.lambda_value < np.inf:
+                raise InvalidConfig("custom lambda_mode needs a finite non-negative lambda_value")
         low, high = self.augment_range
         if not (0.0 < low <= high <= 1.0):
             raise InvalidConfig(f"augment_range must satisfy 0 < low <= high <= 1, got {self.augment_range}")
         if self.finetune.batch_multiplier < 1:
             raise InvalidConfig("finetune.batch_multiplier must be >= 1")
-        if not self.finetune.learning_rate > 0:
-            raise InvalidConfig("finetune.learning_rate must be positive")
+        if not 0 < self.finetune.learning_rate < np.inf:
+            raise InvalidConfig("finetune.learning_rate must be positive and finite")
         if self.seed < 0:
             raise InvalidConfig("seed must be non-negative")
 
@@ -343,33 +343,37 @@ def _run_training(
 
     records: list[EpochRecord] = []
     epoch = 0
-    while cfg.max_epochs is None or epoch < cfg.max_epochs:
-        epoch += 1
-        started = time.perf_counter()
-        mse_sum = 0.0
-        for iteration in range(1, cfg.iterations_per_epoch + 1):
-            batch = _sample_batch(train_songs, cfg, window, rng_sample, rng_aug)
-            loss, mse, _, grads = compute_loss(net, batch, cfg)
-            adam_step(params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
-            _check_finite(loss, params, epoch, iteration)
-            mse_sum += mse
-        val, penalty_now = _validation_loss(net, val_songs, cfg, lam, epoch)
-        val_loss = val + penalty_now
-        records.append(
-            EpochRecord(
-                epoch,
-                mse_sum / cfg.iterations_per_epoch,
-                penalty_now,
-                val_loss,
-                lam,
-                time.perf_counter() - started,
-                val,
+    try:
+        while cfg.max_epochs is None or epoch < cfg.max_epochs:
+            epoch += 1
+            started = time.perf_counter()
+            mse_sum = 0.0
+            for iteration in range(1, cfg.iterations_per_epoch + 1):
+                batch = _sample_batch(train_songs, cfg, window, rng_sample, rng_aug)
+                loss, mse, _, grads = compute_loss(net, batch, cfg)
+                adam_step(params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+                _check_finite(loss, params, epoch, iteration)
+                mse_sum += mse
+            val, penalty_now = _validation_loss(net, val_songs, cfg, lam, epoch)
+            val_loss = val + penalty_now
+            records.append(
+                EpochRecord(
+                    epoch,
+                    mse_sum / cfg.iterations_per_epoch,
+                    penalty_now,
+                    val_loss,
+                    lam,
+                    time.perf_counter() - started,
+                    val,
+                )
             )
-        )
-        if stopper.observe(epoch, val_loss):
-            best_net = net.clone()
-        if stopper.should_stop(epoch):
-            break
+            if stopper.observe(epoch, val_loss):
+                best_net = net.clone()
+            if stopper.should_stop(epoch):
+                break
+    except Diverged as exc:
+        exc.records = records  # the epochs completed before it, for the caller's log
+        raise
     return TrainResult(best_net, TrainLog(records), stopper.best_epoch, stopper.best_loss)
 
 

@@ -209,3 +209,13 @@ class TestPipeline:
         assert rc == 2
         assert "training diverged at epoch 1" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
+
+    def test_divergence_in_finetune_keeps_the_completed_epochs_log(self, pipeline, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = self._train(pipeline, tmp_path, patience_epochs=5, max_epochs=2,
+                             finetune={"enabled": True, "learning_rate": 1e200, "max_epochs": 2})
+        assert rc == 2
+        assert "training diverged at epoch 1, iteration 2" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+        rows = (tmp_path / "log.csv").read_text().strip().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [1, 2]

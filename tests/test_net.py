@@ -1,5 +1,7 @@
 """Tests for the separation network: shapes, exact backprop, checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from hypersep.net import (
     NetConfig,
     _conv_backward,
     _conv_forward,
+    _layer_plan,
+    _leaky,
     _upsample,
     _upsample_backward,
     backward_batch,
@@ -150,7 +154,7 @@ class TestConvAndResampling:
     def test_conv_matches_loop_oracle(self, shape):
         rng, x, w = random_conv(shape, 71)
         b = rng.standard_normal(w.shape[0])
-        y = _conv_forward(x, w, b)
+        y = _conv_forward([x], w, b)
         for item in range(x.shape[0]):
             np.testing.assert_allclose(y[item], conv_oracle(x[item], w, b), rtol=1e-12)
 
@@ -161,7 +165,7 @@ class TestConvAndResampling:
         d = rng.standard_normal((x.shape[0], w.shape[0], x.shape[2]))
         v = rng.standard_normal(w.shape)
         u = rng.standard_normal(x.shape)
-        d_weights, d_bias, d_input = _conv_backward(x, w, d)
+        d_weights, d_bias, d_input = _conv_backward([x], w, d)
         zero = np.zeros(w.shape[0])
 
         def pair(arg, weights):
@@ -175,8 +179,14 @@ class TestConvAndResampling:
         rng = np.random.default_rng(72)
         x = rng.standard_normal((2, 3, 7))
         w = rng.standard_normal((1, 3, 1))
-        y = _conv_forward(x, w, np.zeros(1))
+        y = _conv_forward([x], w, np.zeros(1))
         np.testing.assert_allclose(y, np.einsum("oi,bit->bot", w[:, :, 0], x), rtol=1e-12)
+
+    def test_leaky_keeps_the_sign_of_its_input(self):
+        """Backward reads the slope off act > 0, so it must equal pre > 0;
+        -5e-324 times the slope underflows to -0.0."""
+        x = np.array([-np.inf, -1.0, -5e-324, -0.0, 0.0, 5e-324, 1.0, np.inf, np.nan])
+        np.testing.assert_array_equal(_leaky(x) > 0, x > 0)
 
     def test_upsample_values(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
@@ -220,6 +230,22 @@ class TestForward:
         a = forward(net, mixture)
         b = forward(net, mixture)
         assert np.array_equal(a.vocals, b.vocals)
+
+    def test_cache_retains_only_the_conv_outputs(self):
+        config = NetConfig(depth=3, base_features=8, input_len=1024, seed=0)
+        net = init_net(config)
+        mixtures = np.random.default_rng(79).uniform(-1, 1, (8, 1024))
+        outputs = 0
+        for role, level, _, c_out, _ in _layer_plan(config):
+            t = config.input_len >> (config.depth if role == "bottleneck" else max(level - 1, 0))
+            outputs += mixtures.shape[0] * c_out * t * 8
+        tracemalloc.start()
+        try:
+            vocals, cache = forward_batch(net, mixtures)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained <= outputs + 64 * 1024, f"{retained} bytes retained, conv outputs take {outputs}"
 
     def test_wrong_length_rejected(self):
         net = init_net(tiny_config())

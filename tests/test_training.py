@@ -109,6 +109,11 @@ class TestConfig:
             {"augment_range": (0.0, 1.0)},
             {"augment_range": (0.9, 0.7)},
             {"seed": -2},
+            {"learning_rate": np.inf},
+            {"adam_epsilon": np.inf},
+            {"finetune": FinetuneConfig(learning_rate=np.inf)},
+            {"lambda_mode": "custom", "lambda_value": np.inf},
+            {"lambda_mode": "custom", "lambda_value": np.nan},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
