@@ -25,6 +25,9 @@ with respect to the *unnormalized* weights (the chain rule through row
 normalization is applied here, once). Distances smaller than the config's
 ``clamp_epsilon`` are clamped before the kernel is applied; clamped pairs
 contribute a constant to the energy and nothing to the gradient.
+``layer_energy`` validates (``FilterBank``, ``project_to_sphere``) and
+hands unit rows and raw norms to the unchecked core ``_unit_energy``,
+which the Thomson solver calls directly on its own unit rows.
 """
 
 from dataclasses import dataclass
@@ -183,14 +186,16 @@ def _kernel_and_slope(dist: np.ndarray, s_power: int) -> tuple[np.ndarray, np.nd
 def layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:
     """Ordered-pair energy of one bank plus its analytic weight gradient."""
     unit, norms = project_to_sphere(bank.weights, config.clamp_epsilon)
+    return _unit_energy(unit, norms, config, bank.layer_id)
+
+
+def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_id: int = 0) -> EnergyResult:
+    """layer_energy on rows already projected: unit rows and their raw norms, not checked."""
     n = unit.shape[0]
-    if config.space == "half":
-        points = np.concatenate([unit, -unit], axis=0)
-    else:
-        points = unit
+    points = np.concatenate([unit, -unit], axis=0) if config.space == "half" else unit
     m = points.shape[0]
     if m < 2:
-        raise DegenerateBank(bank.layer_id, f"bank for layer {bank.layer_id} has a single direction")
+        raise DegenerateBank(layer_id, f"bank for layer {layer_id} has a single direction")
 
     gram = points @ points.T
     off_diag = ~np.eye(m, dtype=bool)

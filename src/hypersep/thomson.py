@@ -6,14 +6,15 @@ points on S^(d-1) are driven to low energy by projected gradient descent
 compared against exactly known optimal configurations - the antipodal
 pair, the equilateral triangle, and the regular tetrahedron, octahedron,
 and icosahedron. If the analytic gradients were wrong anywhere, these
-optima would be unreachable.
+optima would be unreachable. Each trial is normalized once, here, and goes
+to the energy core as unit rows: no evaluation re-checks or re-projects it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FilterBank, MheConfig, layer_energy
+from .energy import FilterBank, MheConfig, _unit_energy, layer_energy
 from .errors import IncompatibleShape, InvalidConfig
 
 SHAPES = ("antipodal", "triangle", "tetrahedron", "octahedron", "icosahedron")
@@ -70,7 +71,10 @@ def shape_for_points(n_points: int) -> str | None:
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+    sq = np.einsum("ij,ij->i", x, x)
+    if not np.isfinite(sq.max()):  # the trial's only check: overflow leaves NaN or zero rows
+        raise InvalidConfig("a descent step overflowed; step_size is too large")
+    return x / np.sqrt(sq)[:, None]
 
 
 def minimize_energy(
@@ -91,21 +95,22 @@ def minimize_energy(
     """
     if n_points < 2 or dim < 2:
         raise InvalidConfig(f"need n_points >= 2 and dim >= 2, got ({n_points}, {dim})")
-    if steps < 1 or restarts < 1 or not step_size > 0:
-        raise InvalidConfig("steps and restarts must be >= 1 and step_size positive")
+    if steps < 1 or restarts < 1 or not 0 < step_size < np.inf:
+        raise InvalidConfig("steps and restarts must be >= 1 and step_size positive and finite")
+    unit_norms = np.ones(n_points)
     best_energy = np.inf
     best_set: PointSet | None = None
     for child in np.random.SeedSequence(seed).spawn(restarts):
         rng = np.random.default_rng(child)
         points = _normalize_rows(rng.standard_normal((n_points, dim)))
-        result = layer_energy(FilterBank(points), config)
+        result = _unit_energy(points, unit_norms, config)
         energy, gradient = result.energy, result.gradient
         history = [energy]
         step = step_size
         for _ in range(steps):
             while True:
                 trial = _normalize_rows(points - step * gradient)
-                trial_result = layer_energy(FilterBank(trial), config)
+                trial_result = _unit_energy(trial, unit_norms, config)
                 if trial_result.energy <= energy:
                     break
                 step *= 0.5
@@ -113,9 +118,7 @@ def minimize_energy(
                     break
             if trial_result.energy > energy:
                 break  # no descent direction left at float resolution
-            points = trial
-            energy = trial_result.energy
-            gradient = trial_result.gradient
+            points, energy, gradient = trial, trial_result.energy, trial_result.gradient
             history.append(energy)
             step = min(step * 1.3, step_size)
         if energy < best_energy:

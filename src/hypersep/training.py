@@ -183,6 +183,8 @@ def compute_loss(
     mse = float(np.mean(err * err))
     d_vocals = (2.0 / err.size) * err
     grads = backward_batch(net, cache, d_vocals)
+    if cfg.lambda_mode == "off":
+        return mse, mse, 0.0, grads
     banks = collect_filter_banks(net)
     lam = resolve_lambda(cfg, len(banks))
     if lam == 0.0:

@@ -7,6 +7,7 @@ import pytest
 
 from hypersep.energy import (
     _NEAR_GAP,
+    _unit_energy,
     EnergyResult,
     FilterBank,
     MheConfig,
@@ -24,6 +25,7 @@ from hypersep.errors import (
     NonPositiveDistance,
     ZeroNormFilter,
 )
+from hypersep.net import NetConfig, collect_filter_banks, init_net
 
 import oracles
 
@@ -278,6 +280,28 @@ class TestNearCoincidentGuard:
             # analytically near zero carry only finite-difference noise.
             err = np.max(np.abs(analytic - fd)) / max(1.0, np.max(np.abs(fd)))
             assert err < 1e-5, f"{config.label()}: error {err:.2e}"
+
+
+class TestUnitEnergyCore:
+    """The core the Thomson solver calls, on projected rows, against the validating wrapper."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            random_bank(np.random.default_rng(73), 12, 3).weights,
+            bank_with_close_pair(1e-10, mirror=False),
+            collect_filter_banks(init_net(NetConfig()))[3].weights,
+        ],
+        ids=["random_12x3", "near_coincident_6d", "default_net_bank"],
+    )
+    def test_core_matches_wrapper_bit_for_bit(self, weights):
+        for config in all_configs():
+            unit, norms = project_to_sphere(weights, config.clamp_epsilon)
+            core = _unit_energy(unit, norms, config)
+            wrapped = layer_energy(FilterBank(weights), config)
+            assert core.energy == wrapped.energy, config.label()
+            assert np.array_equal(core.gradient, wrapped.gradient), config.label()
+            assert core.clamped_pairs == wrapped.clamped_pairs, config.label()
 
 
 class TestGradients:

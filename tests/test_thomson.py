@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hypersep import energy, thomson
 from hypersep.energy import FilterBank, MheConfig, layer_energy
 from hypersep.errors import IncompatibleShape, InvalidConfig
 from hypersep.thomson import (
@@ -118,3 +119,27 @@ class TestMinimize:
         b, pb = minimize_energy(4, 3, S1_CHORD, steps=200, restarts=2, seed=5)
         assert a == b
         assert np.array_equal(pa.points, pb.points)
+
+    @pytest.mark.parametrize("step_size", [math.inf, 1e308, 1e200])
+    def test_overflowing_step_size_rejected_at_once(self, step_size, monkeypatch):
+        """An infinite step would halve forever and a NaN trial would be accepted:
+        inf is refused before any evaluation, an overflowing first trial before its own."""
+        calls = []
+        core = thomson._unit_energy
+        monkeypatch.setattr(thomson, "_unit_energy", lambda *a: calls.append(1) or core(*a))
+        with pytest.raises(InvalidConfig):
+            minimize_energy(12, 3, S1_CHORD, steps=50, restarts=2, step_size=step_size, seed=6)
+        assert len(calls) == (0 if step_size == math.inf else 1)
+
+    def test_solver_skips_the_validating_wrapper(self, monkeypatch):
+        """The solver's rows are unit by construction; no evaluation re-checks or re-projects them."""
+        calls = []
+
+        def counting(fn):
+            return lambda *a, **k: calls.append(fn.__name__) or fn(*a, **k)
+
+        monkeypatch.setattr(thomson, "FilterBank", counting(thomson.FilterBank))
+        monkeypatch.setattr(energy, "project_to_sphere", counting(energy.project_to_sphere))
+        best, _ = minimize_energy(4, 3, S1_CHORD, steps=100, restarts=2, seed=7)
+        assert np.isfinite(best)
+        assert calls == []

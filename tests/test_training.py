@@ -230,13 +230,24 @@ class TestAugment:
 
 
 class TestComputeLoss:
-    def test_lambda_off_reduces_to_mse(self):
+    def test_lambda_off_reduces_to_mse(self, monkeypatch):
+        """With the penalty off the loss is the bare MSE and no filter bank is built."""
         net = tiny_net(seed=1)
         rng = np.random.default_rng(83)
         batch = (rng.uniform(-1, 1, (2, 16)), rng.uniform(-0.5, 0.5, (2, 16)))
-        loss, mse, penalty, _ = compute_loss(net, batch, tiny_cfg(lambda_mode="off"))
-        assert penalty == 0.0
-        assert loss == mse
+        vocals, cache = training.forward_batch(net, batch[0])
+        err = vocals - batch[1]
+        mse = float(np.mean(err * err))
+        expected = training.backward_batch(net, cache, (2.0 / err.size) * err)
+
+        def no_banks(_net):
+            raise AssertionError("collect_filter_banks called with the penalty off")
+
+        monkeypatch.setattr(training, "collect_filter_banks", no_banks)
+        loss, got_mse, penalty, grads = compute_loss(net, batch, tiny_cfg(lambda_mode="off"))
+        assert (loss, got_mse, penalty) == (mse, mse, 0.0)
+        assert len(grads) == len(expected)
+        assert all(np.array_equal(g, e) for g, e in zip(grads, expected))
 
     def test_zero_net_on_zero_targets_isolates_penalty(self):
         net = tiny_net(seed=1)
