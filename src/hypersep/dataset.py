@@ -221,6 +221,8 @@ def load_manifest(path) -> DatasetManifest:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise InvalidConfig(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise InvalidConfig(f"{path}: a manifest must hold a JSON object")
     if payload.get("format") != MANIFEST_FORMAT:
         raise InvalidConfig(f"{path}: unknown manifest format {payload.get('format')!r}")
     try:
@@ -235,6 +237,8 @@ def load_manifest(path) -> DatasetManifest:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(f"{path}: malformed manifest ({exc})") from exc
     listed = [name for names in manifest.splits.values() for name in names]
+    if not all(isinstance(v, str) for v in [*manifest.songs.values(), *listed]):
+        raise InvalidConfig(f"{path}: song names and directories must be strings")
     if len(listed) != len(set(listed)):
         raise InvalidConfig(f"{path}: splits overlap")
     unknown = set(listed) - set(manifest.songs)

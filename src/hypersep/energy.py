@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBank, InvalidConfig, NonPositiveDistance, ZeroNormFilter
+from .errors import DegenerateBank, InvalidConfig, NonPositiveDistance, ZeroNormFilter, check_fields
 
 SPACES = ("full", "half")
 DISTANCES = ("euclidean", "angular")
@@ -66,14 +66,9 @@ class MheConfig:
     clamp_epsilon: float = 1e-12
 
     def __post_init__(self):
-        if self.space not in SPACES:
-            raise InvalidConfig(f"space must be one of {SPACES}, got {self.space!r}")
-        if self.distance not in DISTANCES:
-            raise InvalidConfig(f"distance must be one of {DISTANCES}, got {self.distance!r}")
-        if self.s_power not in S_POWERS:
-            raise InvalidConfig(f"s_power must be one of {S_POWERS}, got {self.s_power!r}")
-        if not self.clamp_epsilon > 0:
-            raise InvalidConfig("clamp_epsilon must be positive")
+        check_fields(self, space=SPACES, distance=DISTANCES, s_power=S_POWERS)
+        if not 0 < self.clamp_epsilon < np.inf:
+            raise InvalidConfig(f"clamp_epsilon must be positive and finite, got {self.clamp_epsilon}")
 
     def label(self) -> str:
         return f"{self.space}/{self.distance}/s{self.s_power}"

@@ -6,6 +6,10 @@ accept a human-readable message; a few carry structured fields (the
 offending row or layer id) that tests and callers can inspect.
 """
 
+import dataclasses
+import numbers
+import typing
+
 
 class HypersepError(Exception):
     """Base class for all errors raised by this package."""
@@ -13,6 +17,32 @@ class HypersepError(Exception):
 
 class InvalidConfig(HypersepError):
     """A configuration object violates one of its invariants."""
+
+
+def check_fields(config, **bounds) -> None:
+    """Raise InvalidConfig naming the first field of a config dataclass whose value is not
+    of its annotated type, not in its tuple of choices in bounds, or below its int there."""
+    for f in dataclasses.fields(config):
+        value, bound = getattr(config, f.name), bounds.get(f.name)
+        if not _is_a(value, f.type):
+            kind = f.type.__name__ if isinstance(f.type, type) else f.type  # tuple[float, float] as written
+            raise InvalidConfig(f"{f.name} must be {kind}, got {value!r}")
+        if isinstance(bound, tuple) and value not in bound:
+            raise InvalidConfig(f"{f.name} must be one of {bound}, got {value!r}")
+        if isinstance(bound, int) and value is not None and value < bound:
+            raise InvalidConfig(f"{f.name} must be >= {bound}, got {value}")
+
+
+def _is_a(value, kind) -> bool:
+    """isinstance for annotations: `X | None` takes None too, tuple[...] checks its
+    items, int takes numpy ints, float any real number, and bool is no number."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, tuple) and len(value) == len(args) and all(map(_is_a, value, args))
+    if args:
+        return any(_is_a(value, a) for a in args)
+    numeric = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, numeric)
 
 
 class ZeroNormFilter(HypersepError):

@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import FilterBank
-from .errors import CorruptHeader, IncompatibleShape, InvalidConfig, ShapeMismatch
+from .errors import CorruptHeader, IncompatibleShape, InvalidConfig, ShapeMismatch, check_fields
 from .fileio import write_atomic
 
 LEAKY_SLOPE = 0.3
@@ -61,24 +61,13 @@ class NetConfig:
     seed: int = 0
     bottleneck_own_layer: bool = False
 
-    def validate(self) -> None:
-        if self.depth < 1:
-            raise InvalidConfig(f"depth must be >= 1, got {self.depth}")
-        for name, k in (("down_kernel", self.down_kernel), ("up_kernel", self.up_kernel)):
-            if k < 1 or k % 2 == 0:
-                raise InvalidConfig(f"{name} must be odd and positive, got {k}")
-        if self.base_features < 1:
-            raise InvalidConfig(f"base_features must be >= 1, got {self.base_features}")
-        if self.growth not in GROWTH_MODES:
-            raise InvalidConfig(f"growth must be one of {GROWTH_MODES}, got {self.growth!r}")
-        if self.input_len < 1 or self.input_len % (2**self.depth) != 0:
-            raise InvalidConfig(
-                f"input_len must be a positive multiple of 2**depth = {2**self.depth}, got {self.input_len}"
-            )
-        if self.sample_rate < 1:
-            raise InvalidConfig(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be non-negative, got {self.seed}")
+    def __post_init__(self):
+        check_fields(self, depth=1, down_kernel=1, up_kernel=1, base_features=1, growth=GROWTH_MODES, input_len=1,
+                     sample_rate=1, seed=0)
+        if self.down_kernel % 2 == 0 or self.up_kernel % 2 == 0:
+            raise InvalidConfig(f"kernels must be odd, got down_kernel={self.down_kernel}, up_kernel={self.up_kernel}")
+        if self.input_len % (2**self.depth) != 0:
+            raise InvalidConfig(f"input_len must be a multiple of 2**depth = {2**self.depth}, got {self.input_len}")
 
     def feature_counts(self) -> list[int]:
         """Output channels of encoder levels 1..depth."""
@@ -189,7 +178,6 @@ def init_net(config: NetConfig) -> SepNet:
     Draw order follows the layer plan, so a given (config, seed) always
     produces bit-identical parameters.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     layers = []
     for role, level, c_in, c_out, kernel in _layer_plan(config):
@@ -423,7 +411,6 @@ def load_checkpoint(path) -> SepNet:
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptHeader(f"{path}: unreadable header ({exc})") from exc
     offset += header_len
-    config.validate()
     plan = _layer_plan(config)
     if len(stored) != len(plan):
         raise IncompatibleShape(

@@ -15,14 +15,13 @@ independent child streams, and the stream consumption per iteration is
 fixed, so runs with different patience settings see identical batches.
 """
 
-import dataclasses
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .energy import MheConfig, mhe_penalty
-from .errors import Diverged, EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch
+from .errors import Diverged, EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch, check_fields
 from .fileio import write_csv_rows
 from .net import NetConfig, SepNet, backward_batch, collect_filter_banks, forward_batch
 
@@ -35,6 +34,11 @@ class FinetuneConfig:
     batch_multiplier: int = 2
     learning_rate: float = 1e-5
     max_epochs: int | None = None
+
+    def __post_init__(self):
+        check_fields(self, batch_multiplier=1, max_epochs=0)
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidConfig("learning_rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,9 @@ class TrainConfig:
     augment_range: tuple[float, float] = (0.7, 1.0)
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.batch_size < 1:
-            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
+    def __post_init__(self):
+        check_fields(self, batch_size=1, iterations_per_epoch=1, patience_epochs=1, max_epochs=0,
+                     lambda_mode=LAMBDA_MODES, seed=0)
         if not 0 < self.learning_rate < np.inf:
             raise InvalidConfig("learning_rate must be positive and finite")
         for name, beta in (("beta1", self.beta1), ("beta2", self.beta2)):
@@ -64,26 +68,12 @@ class TrainConfig:
                 raise InvalidConfig(f"{name} must lie in [0, 1), got {beta}")
         if not 0 < self.adam_epsilon < np.inf:
             raise InvalidConfig("adam_epsilon must be positive and finite")
-        if self.iterations_per_epoch < 1:
-            raise InvalidConfig("iterations_per_epoch must be >= 1")
-        if self.patience_epochs < 1:
-            raise InvalidConfig("patience_epochs must be >= 1")
-        if self.max_epochs is not None and self.max_epochs < 0:
-            raise InvalidConfig("max_epochs must be None or >= 0")
-        if self.lambda_mode not in LAMBDA_MODES:
-            raise InvalidConfig(f"lambda_mode must be one of {LAMBDA_MODES}, got {self.lambda_mode!r}")
         if self.lambda_mode == "custom":
             if self.lambda_value is None or not 0 <= self.lambda_value < np.inf:
                 raise InvalidConfig("custom lambda_mode needs a finite non-negative lambda_value")
         low, high = self.augment_range
         if not (0.0 < low <= high <= 1.0):
             raise InvalidConfig(f"augment_range must satisfy 0 < low <= high <= 1, got {self.augment_range}")
-        if self.finetune.batch_multiplier < 1:
-            raise InvalidConfig("finetune.batch_multiplier must be >= 1")
-        if not 0 < self.finetune.learning_rate < np.inf:
-            raise InvalidConfig("finetune.learning_rate must be positive and finite")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be non-negative")
 
 
 def resolve_lambda(cfg: TrainConfig, hidden_layers: int) -> float:
@@ -321,7 +311,6 @@ def _run_training(
     net: SepNet, dataset, cfg: TrainConfig, seed_seq: np.random.SeedSequence, score_start: bool
 ) -> TrainResult:
     """The epoch loop of both phases; score_start scores the input and keeps it as epoch 0."""
-    cfg.validate()
     window = net.config.input_len
     train_songs = _eligible(dataset.train, window)
     val_songs = _eligible(dataset.validation, window)
@@ -413,33 +402,30 @@ def finetune(best: SepNet, dataset, cfg: TrainConfig) -> TrainResult:
     )
 
 
-def _from_mapping(cls, data: dict, context: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise InvalidConfig(f"unknown {context} keys: {', '.join(unknown)}")
-    return cls(**data)
+def _from_mapping(cls, data, context: str):
+    """Build a config from one JSON section; an unknown or bad key raises InvalidConfig naming both."""
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{context} must be a JSON object, got {data!r}")
+    try:
+        return cls(**data)
+    except (InvalidConfig, TypeError, ValueError) as exc:
+        raise InvalidConfig(f"{context}: {exc}") from exc
 
 
 def train_config_from_dict(data: dict) -> TrainConfig:
     """Build a TrainConfig from parsed JSON, rejecting misspelled keys."""
     data = dict(data)
-    if "mhe" in data and isinstance(data["mhe"], dict):
-        data["mhe"] = _from_mapping(MheConfig, data["mhe"], "mhe")
-    if "finetune" in data and isinstance(data["finetune"], dict):
-        data["finetune"] = _from_mapping(FinetuneConfig, data["finetune"], "finetune")
-    if "augment_range" in data:
+    for name, cls in (("mhe", MheConfig), ("finetune", FinetuneConfig)):
+        if name in data:
+            data[name] = _from_mapping(cls, data[name], name)
+    if isinstance(data.get("augment_range"), list):
         data["augment_range"] = tuple(data["augment_range"])
-    cfg = _from_mapping(TrainConfig, data, "train config")
-    cfg.validate()
-    return cfg
+    return _from_mapping(TrainConfig, data, "train config")
 
 
 def net_config_from_dict(data: dict) -> NetConfig:
-    cfg = _from_mapping(NetConfig, dict(data), "net config")
-    cfg.validate()
-    return cfg
+    return _from_mapping(NetConfig, data, "net config")
 
 
 def mhe_config_from_dict(data: dict) -> MheConfig:
-    return _from_mapping(MheConfig, dict(data), "mhe config")
+    return _from_mapping(MheConfig, data, "mhe config")

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
 
 from hypersep.cli import cli
 from hypersep.dataset import generate_dataset, load_split

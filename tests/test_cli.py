@@ -1,12 +1,15 @@
 """CLI contract tests: exit codes, usage messages, and artifact plumbing."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from hypersep.cli import cli
+from hypersep import cli as cli_module
+from hypersep.cli import build_parser, cli
 from hypersep.dataset import load_manifest
+from hypersep.errors import HypersepError
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +222,74 @@ class TestPipeline:
         assert not (tmp_path / "x.ckpt").exists()
         rows = (tmp_path / "log.csv").read_text().strip().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == [1, 2]
+
+
+def _merged(base: dict, overrides: dict) -> dict:
+    """base with overrides applied; a dict override of a dict section updates that section."""
+    out = dict(base)
+    for key, value in overrides.items():
+        both = isinstance(value, dict) and isinstance(out.get(key), dict)
+        out[key] = {**out[key], **value} if both else value
+    return out
+
+
+class TestMalformedInput:
+    """Wrong-typed or out-of-range JSON exits 2 naming the field, before any training."""
+
+    @pytest.fixture
+    def train_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_module, "train", lambda *args: calls.append(args))
+        return calls
+
+    @staticmethod
+    def _check(argv, field, capsys):
+        args = build_parser().parse_args(argv)
+        with pytest.raises(HypersepError, match=field):
+            args.func(args)
+        assert cli(argv) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"batch_size": "16"}, "batch_size"),
+            ({"batch_size": 16.0}, "batch_size"),
+            ({"augment_range": [0.7]}, "augment_range"),
+            ({"augment_range": 5}, "augment_range"),
+            ({"lambda_mode": "custom", "lambda_value": "0.1"}, "lambda_value"),
+            ({"net": 5}, "net"),
+            ({"net": {"depth": "4"}}, "depth"),
+            ({"mhe": ["half"]}, "mhe"),
+            ({"finetune": {"enabled": "no"}}, "enabled"),
+            ({"net": {"bottleneck_own_layer": "false"}}, "bottleneck_own_layer"),
+            ({"finetune": {"enabled": True, "max_epochs": -1}}, "max_epochs"),
+        ],
+    )
+    def test_train_config(self, pipeline, tmp_path, capsys, train_calls, overrides, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_merged(json.loads(pipeline["config"].read_text()), overrides)))
+        argv = ["train", "--config", str(path), "--data", str(pipeline["data"]),
+                "--out", str(tmp_path / "x.ckpt")]
+        self._check(argv, field, capsys)
+        assert train_calls == []
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_energy_inspect_mhe_config(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "mhe.json"
+        path.write_text(json.dumps({"clamp_epsilon": "x"}))
+        self._check(["energy-inspect", "--ckpt", str(pipeline["ckpt"]), "--mhe-config", str(path)],
+                    "clamp_epsilon", capsys)
+
+    def test_checkpoint_header_config(self, pipeline, tmp_path, capsys):
+        blob = pipeline["ckpt"].read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 5)
+        header = json.loads(blob[9 : 9 + hlen])
+        header["config"]["depth"] = "1"
+        new = json.dumps(header).encode()
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + hlen :])
+        self._check(["energy-inspect", "--ckpt", str(ckpt)], "depth", capsys)
+        self._check(["evaluate", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
+                     "--report", str(tmp_path / "r.csv")], "depth", capsys)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hypersep.dataset import (
-    DatasetManifest,
     Song,
     _assign_splits,
     build_manifest_from_dir,
@@ -162,6 +161,22 @@ class TestManifest:
     def test_garbage_json_rejected(self, tmp_path):
         manifest = generate_dataset(1, 1.0, 4000, seed=7, out_dir=tmp_path / "ds")
         (manifest.root / "manifest.json").write_text("{not json")
+        with pytest.raises(InvalidConfig):
+            load_manifest(manifest.root)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: [payload],  # top level an array
+            lambda payload: {**payload, "songs": {"song000": 0}},  # directory a number
+            lambda payload: {**payload, "splits": {"train": [["song000"]]}},  # name a list
+        ],
+        ids=["array", "number_dir", "list_name"],
+    )
+    def test_wrong_json_types_rejected(self, tmp_path, edit):
+        manifest = generate_dataset(1, 1.0, 4000, seed=7, out_dir=tmp_path / "ds")
+        path = manifest.root / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(InvalidConfig):
             load_manifest(manifest.root)
 

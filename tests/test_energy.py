@@ -8,7 +8,6 @@ import pytest
 from hypersep.energy import (
     _NEAR_GAP,
     _unit_energy,
-    EnergyResult,
     FilterBank,
     MheConfig,
     all_configs,
@@ -52,6 +51,8 @@ class TestConfigs:
             {"s_power": -1},
             {"clamp_epsilon": 0.0},
             {"clamp_epsilon": -1e-9},
+            {"clamp_epsilon": math.inf},
+            {"s_power": True},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -83,6 +83,26 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             init_net(tiny_config(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"depth": "2"},
+            {"depth": 2.0},
+            {"seed": True},
+            {"growth": None},
+            {"input_len": None},
+            {"bottleneck_own_layer": "false"},
+            {"bottleneck_own_layer": 0},
+        ],
+    )
+    def test_wrong_types_rejected_naming_the_field(self, overrides):
+        with pytest.raises(InvalidConfig, match=next(iter(overrides))):
+            tiny_config(**overrides)
+
+    def test_numpy_ints_accepted(self):
+        cfg = tiny_config(depth=np.int64(2), input_len=np.int32(16))
+        assert init_net(cfg).layers[0].weights.shape == (3, 1, 5)
+
     def test_doubling_feature_progression(self):
         cfg = NetConfig(depth=4, base_features=24, growth="double", input_len=16384)
         assert cfg.feature_counts() == [24, 48, 96, 192]
@@ -379,18 +399,30 @@ class TestCheckpoint:
         with pytest.raises(CorruptHeader):
             load_checkpoint(path)
 
-    def test_layer_mismatch_rejected(self, tmp_path):
+    @staticmethod
+    def _edit_header(path, edit):
         import json
         import struct
 
-        net = init_net(tiny_config(seed=13))
-        path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path)
         blob = path.read_bytes()
         (hlen,) = struct.unpack_from("<I", blob, 5)
         header = json.loads(blob[9 : 9 + hlen])
-        header["layers"][0]["kernel"] = 7
+        edit(header)
         new_header = json.dumps(header, sort_keys=True).encode()
         path.write_bytes(blob[:5] + struct.pack("<I", len(new_header)) + new_header + blob[9 + hlen :])
+
+    def test_layer_mismatch_rejected(self, tmp_path):
+        net = init_net(tiny_config(seed=13))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        self._edit_header(path, lambda h: h["layers"][0].update(kernel=7))
         with pytest.raises(IncompatibleShape):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [("depth", "1"), ("depth", 0), ("bottleneck_own_layer", "false")])
+    def test_invalid_header_config_rejected(self, tmp_path, key, value):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(init_net(tiny_config(seed=13)), path)
+        self._edit_header(path, lambda h: h["config"].update({key: value}))
+        with pytest.raises(InvalidConfig, match=key):
             load_checkpoint(path)

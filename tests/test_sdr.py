@@ -8,7 +8,6 @@ import pytest
 from hypersep.errors import EmptySignal, InvalidConfig, LengthMismatch
 from hypersep.net import NetConfig, init_net
 from hypersep.sdr import (
-    SdrReport,
     aggregate,
     evaluate_songs,
     segment,

@@ -1,6 +1,6 @@
 """Trainer tests: Adam, augmentation, loss assembly, the two-phase loop."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -111,18 +111,19 @@ class TestConfig:
             {"seed": -2},
             {"learning_rate": np.inf},
             {"adam_epsilon": np.inf},
-            {"finetune": FinetuneConfig(learning_rate=np.inf)},
+            {"finetune": {"learning_rate": np.inf}},  # built in the test: it raises
             {"lambda_mode": "custom", "lambda_value": np.inf},
             {"lambda_mode": "custom", "lambda_value": np.nan},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(InvalidConfig):
-            tiny_cfg(**overrides).validate()
+            if isinstance(overrides.get("finetune"), dict):
+                overrides = {"finetune": FinetuneConfig(**overrides["finetune"])}
+            tiny_cfg(**overrides)
 
     def test_defaults_follow_training_recipe(self):
         cfg = TrainConfig()
-        cfg.validate()
         assert cfg.batch_size == 16
         assert cfg.learning_rate == 1e-4
         assert (cfg.beta1, cfg.beta2) == (0.9, 0.999)
@@ -130,6 +131,79 @@ class TestConfig:
         assert cfg.augment_range == (0.7, 1.0)
         assert cfg.finetune.batch_multiplier == 2
         assert cfg.finetune.learning_rate == 1e-5
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"batch_size": "16"},
+            {"batch_size": 16.0},
+            {"batch_size": True},
+            {"max_epochs": 2.5},
+            {"seed": None},
+            {"learning_rate": "1e-3"},
+            {"beta1": True},
+            {"lambda_mode": None},
+            {"lambda_mode": "custom", "lambda_value": "0.1"},
+            {"augment_range": (0.7,)},
+            {"augment_range": [0.7, 1.0]},
+            {"augment_range": 5},
+            {"mhe": {"space": "half"}},
+            {"finetune": None},
+        ],
+    )
+    def test_wrong_types_rejected_naming_the_field(self, overrides):
+        with pytest.raises(InvalidConfig, match=list(overrides)[-1]):
+            tiny_cfg(**overrides)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"enabled": "no"},
+            {"enabled": 1},
+            {"batch_multiplier": 0},
+            {"batch_multiplier": 2.0},
+            {"learning_rate": 0.0},
+            {"learning_rate": None},
+            {"max_epochs": -1},
+            {"max_epochs": "1"},
+        ],
+    )
+    def test_finetune_config_checks_itself(self, kwargs):
+        with pytest.raises(InvalidConfig, match=next(iter(kwargs))):
+            FinetuneConfig(**kwargs)
+
+    def test_numpy_ints_and_ints_for_floats_accepted(self):
+        cfg = tiny_cfg(batch_size=np.int64(3), max_epochs=np.int32(2), learning_rate=1, beta1=0,
+                       lambda_mode="custom", lambda_value=np.float32(0.5), augment_range=(np.float64(0.5), 1))
+        assert cfg.batch_size == 3 and cfg.lambda_value == 0.5
+        assert FinetuneConfig(enabled=False, max_epochs=0).max_epochs == 0
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(InvalidConfig, match="batch_size"):
+            replace(TrainConfig(), batch_size=0)
+        with pytest.raises(InvalidConfig, match="max_epochs"):
+            replace(TrainConfig(), finetune=replace(FinetuneConfig(), max_epochs=-1))
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({"batch_size": "16"}, "batch_size"),
+            ({"augment_range": [0.7]}, "augment_range"),
+            ({"augment_range": 5}, "augment_range"),
+            ({"mhe": ["half"]}, "mhe"),
+            ({"mhe": {"clamp_epsilon": "x"}}, "clamp_epsilon"),
+            ({"finetune": 5}, "finetune"),
+            ({"finetune": {"max_epochs": -1}}, "max_epochs"),
+        ],
+    )
+    def test_config_from_dict_raises_only_invalid_config(self, data, field):
+        with pytest.raises(InvalidConfig, match=field):
+            train_config_from_dict(data)
+
+    @pytest.mark.parametrize("data", [5, ["depth"], {"depth": "4"}, {"bottleneck_own_layer": "false"}])
+    def test_net_config_from_dict_raises_only_invalid_config(self, data):
+        with pytest.raises(InvalidConfig, match="net config"):
+            net_config_from_dict(data)
 
     def test_lambda_resolution_for_eight_layers(self):
         assert resolve_lambda(tiny_cfg(lambda_mode="half_inv_L"), 8) == 0.0625
