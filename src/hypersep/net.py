@@ -9,18 +9,16 @@ A final kernel-1 conv with tanh produces the vocal estimate in [-1, 1],
 and the accompaniment estimate is the input mixture minus the vocals, so
 the two always sum back to the mixture sample-for-sample.
 
-Forward and backward passes are written directly in numpy. A batch of
-windows is laid out end to end along one time axis, each window between
-its own zero gap columns, and a conv is a sum over its taps of one matrix
-product each: W[:, :, k] @ x[:, k:k+n]. The same per-tap products give
-the weight and input gradients, so the backward pass returns exact
-gradients of any scalar loss given its derivative with respect to the
-vocal output.
-
-The forward cache holds only each conv's output activation; both passes
-rebuild a conv's input from it with ForwardCache.conv_input, as channel
-blocks that go straight into their rows of the gapped layout, and backward
-reads the LeakyReLU slope off the activation (act > 0 exactly when pre > 0).
+Forward and backward passes are written directly in numpy on one layout:
+B windows of C channels and T samples form a channel-major (C, B, T + 2P)
+buffer, each window between P zero columns, P = (largest kernel - 1) / 2.
+Flat, a conv of half-width p <= P is a sum over taps of W[:, :, k] @
+x[:, j - p + k] for all columns j at once, so its output lands in its input's
+columns and no tap crosses a gap; the input gradient is the same sum with
+transposed taps, so backward returns exact gradients. The forward cache
+keeps each conv's (C, B, T) activation only; both passes rebuild a conv's
+gapped input from it (ForwardCache.conv_input), and backward reads the
+LeakyReLU slope off the activation (act > 0 exactly when pre > 0).
 """
 
 import json
@@ -34,6 +32,9 @@ from .errors import CorruptHeader, IncompatibleShape, InvalidConfig, ShapeMismat
 from .fileio import write_atomic
 
 LEAKY_SLOPE = 0.3
+
+# Columns per block of a conv's tap sum.
+_BLOCK = 4096
 
 GROWTH_MODES = ("double", "add_base")
 
@@ -126,32 +127,37 @@ class SepOutput:
 
 @dataclass
 class ForwardCache:
-    """A batch's mixtures and the output activation of every conv so far."""
+    """A batch's mixtures, its gap width, and the (C, B, T) output activation of every conv so far."""
 
     layers: list[ConvLayer]
     mixtures: np.ndarray
+    pad: int
     activations: list[np.ndarray] = field(default_factory=list)
 
-    def conv_input(self, idx: int) -> list[np.ndarray]:
-        """Conv idx's input as (B, C_i, T) channel blocks; level l's skip is conv l - 1."""
-        if idx == 0:
-            return [self.mixtures[:, None, :]]
-        prev = self.activations[idx - 1]
-        if self.layers[idx - 1].role == "down":
+    def conv_input(self, idx: int) -> np.ndarray:
+        """Conv idx's input as a gapped (C_in, B, T + 2 * pad) buffer; level l's skip is conv l - 1."""
+        prev = self.mixtures[None] if idx == 0 else self.activations[idx - 1]
+        if idx and self.layers[idx - 1].role == "down":
             prev = prev[:, :, ::2]
-        layer = self.layers[idx]
-        if layer.role == "up":
-            return [_upsample(prev), self.activations[layer.level - 1]]
-        return [prev]
+        layer, (c, batch, t) = self.layers[idx], prev.shape
+        if layer.role != "up":
+            xs = np.zeros((c, batch, t + 2 * self.pad))
+            _window(xs, self.pad)[:] = prev
+            return xs
+        skip = self.activations[layer.level - 1]
+        xs = np.zeros((c + len(skip), batch, 2 * t + 2 * self.pad))
+        _upsample(prev, _window(xs, self.pad)[:c])
+        _window(xs, self.pad)[c:] = skip
+        return xs
 
     @property
     def conv_inputs(self) -> list[np.ndarray]:
-        """Every conv's input as one array, concatenated on demand."""
-        return [np.concatenate(self.conv_input(i), axis=1) for i in range(len(self.activations))]
+        """Every conv's input as one (B, C_in, T) array, built on demand."""
+        return [_window(self.conv_input(i), self.pad).transpose(1, 0, 2) for i in range(len(self.activations))]
 
     @property
     def vocals(self) -> np.ndarray:
-        return self.activations[-1][:, 0, :]
+        return self.activations[-1][0]
 
 
 def _layer_plan(config: NetConfig) -> list[tuple[str, int, int, int, int]]:
@@ -189,134 +195,137 @@ def init_net(config: NetConfig) -> SepNet:
     return SepNet(config, layers)
 
 
-def _gapped(blocks: list[np.ndarray], pad: int) -> np.ndarray:
-    """Lay (B, C_i, T) channel blocks out as (sum C_i, B * (T + 2 * pad)): each
-    block in its own rows, windows end to end between pad zero columns."""
-    batch, _, t = blocks[0].shape
-    xs = np.zeros((sum(b.shape[1] for b in blocks), batch, t + 2 * pad))
-    row = 0
-    for block in blocks:
-        xs[row : row + block.shape[1], :, pad : pad + t] = block.transpose(1, 0, 2)
-        row += block.shape[1]
-    return xs.reshape(row, -1)
+def _window(xs: np.ndarray, pad: int) -> np.ndarray:
+    """The (C, B, T) window columns of a gapped (C, B, T + 2 * pad) buffer."""
+    return xs[:, :, pad : xs.shape[2] - pad]
 
 
-def _conv_forward(x: list[np.ndarray], weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-padded 1D convolution of (B, C_i, T) channel blocks -> (B, C_out, T)."""
-    batch, _, t = x[0].shape
-    c_out, _, kernel = weights.shape
-    pad = (kernel - 1) // 2
-    xs = _gapped(x, pad)
-    n = xs.shape[1] - 2 * pad
-    y = np.empty((c_out, xs.shape[1]))
-    np.matmul(weights[:, :, 0], xs[:, :n], out=y[:, :n])
-    tap = np.empty((c_out, n))
-    for k in range(1, kernel):
-        np.matmul(weights[:, :, k], xs[:, k : k + n], out=tap)
-        y[:, :n] += tap
-    y[:, :n] += bias[:, None]
-    return y.reshape(c_out, batch, -1)[:, :, :t].transpose(1, 0, 2)
+def _shifted_sum(out: np.ndarray, taps: np.ndarray, xs: np.ndarray, shifts: list[int], pad: int, bias=None) -> None:
+    """out[:, j] = sum_k taps[k] @ xs[:, j + shifts[k]] (+ bias) for the flat columns j between the
+    outer pads, one column block at a time. With fewer input rows than output rows a block's shifted
+    copies are stacked into one product; otherwise each tap's product is added in turn."""
+    kernel, rows, c = taps.shape
+    n, stack = xs.shape[1] - 2 * pad, c < rows
+    wide = taps.transpose(1, 0, 2).reshape(rows, kernel * c) if stack else None
+    buf = np.empty((kernel * c if stack else rows, min(n, _BLOCK)))
+    for c0 in range(pad, pad + n, _BLOCK):
+        c1 = min(c0 + _BLOCK, pad + n)
+        acc, part = out[:, c0:c1], buf[:, : c1 - c0]
+        if stack:
+            for k, s in enumerate(shifts):
+                part[k * c : (k + 1) * c] = xs[:, c0 + s : c1 + s]
+            np.matmul(wide, part, out=acc)
+        else:
+            np.matmul(taps[0], xs[:, c0 + shifts[0] : c1 + shifts[0]], out=acc)
+            for a, s in zip(taps[1:], shifts[1:]):
+                np.matmul(a, xs[:, c0 + s : c1 + s], out=part)
+                acc += part
+        if bias is not None:
+            acc += bias[:, None]
 
 
-def _conv_backward(
-    x: list[np.ndarray], weights: np.ndarray, d_out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of a same-padded conv of channel blocks: (d_weights, d_bias, d_input)."""
-    batch, _, t = d_out.shape
+def _conv_forward(xs: np.ndarray, weights: np.ndarray, bias: np.ndarray, pad: int) -> np.ndarray:
+    """Same-padded 1D conv of a gapped (C_in, B, T + 2 * pad) buffer, pad >= (K - 1) / 2, into a
+    new buffer of that layout; only its window columns are defined."""
     c_out, c_in, kernel = weights.shape
-    pad = (kernel - 1) // 2
-    xs = _gapped(x, pad)
-    n = xs.shape[1] - 2 * pad
-    # Output column j of the gapped layout reads input columns j .. j+K-1;
-    # d_out sits in the same columns as the forward output, with zeros in
-    # the gap columns, so no window's gradient reaches its neighbour.
-    ds = _gapped([d_out], pad)[:, pad : pad + n]
+    p = (kernel - 1) // 2
+    ys = np.empty((c_out,) + xs.shape[1:])
+    taps = weights.transpose(2, 0, 1).copy()
+    _shifted_sum(ys.reshape(c_out, -1), taps, xs.reshape(c_in, -1), [k - p for k in range(kernel)], pad, bias)
+    return ys
+
+
+def _conv_backward(xs: np.ndarray, weights: np.ndarray, ds: np.ndarray, pad: int) -> tuple[np.ndarray, ...]:
+    """(d_weights, d_bias, d_input) of _conv_forward given d_out in a gapped buffer with zero
+    gaps; d_input is written over xs, and only its window columns are defined."""
+    c_out, c_in, kernel = weights.shape
+    p = (kernel - 1) // 2
+    x2, d2 = xs.reshape(c_in, -1), ds.reshape(c_out, -1)
+    n = x2.shape[1] - 2 * pad
+    # Output column j reads input columns j - p .. j + p; the zero gap
+    # columns of ds keep every window's gradient out of its neighbours.
     d_weights = np.empty((kernel, c_out, c_in))
     for k in range(kernel):
-        np.matmul(ds, xs[:, k : k + n].T, out=d_weights[k])
-    d_bias = d_out.sum(axis=(0, 2))
+        np.matmul(d2[:, pad : pad + n], x2[:, pad - p + k : pad - p + k + n].T, out=d_weights[k])
+    # Window by window, as numpy sums a (B, C_out, T) array over (0, 2).
+    d_bias = sum(d.sum(axis=1) for d in _window(ds, pad).transpose(1, 0, 2))
     # d_input is the exact adjoint of the forward sum over taps.
-    dxs = np.empty_like(xs)
-    np.matmul(weights[:, :, 0].T, ds, out=dxs[:, :n])
-    dxs[:, n:] = 0.0
-    tap = np.empty((c_in, n))
-    for k in range(1, kernel):
-        np.matmul(weights[:, :, k].T, ds, out=tap)
-        dxs[:, k : k + n] += tap
-    d_input = dxs.reshape(c_in, batch, -1)[:, :, pad : pad + t].transpose(1, 0, 2)
-    return np.ascontiguousarray(d_weights.transpose(1, 2, 0)), d_bias, d_input
+    _shifted_sum(x2, weights.transpose(2, 1, 0).copy(), d2, [p - k for k in range(kernel)], pad)
+    return np.ascontiguousarray(d_weights.transpose(1, 2, 0)), d_bias, xs
 
 
 def _leaky(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, LEAKY_SLOPE * x)
+    """max(x, slope * x): the same values as x > 0 ? x : slope * x, and act > 0 exactly when x > 0."""
+    act = x * LEAKY_SLOPE
+    return np.maximum(x, act, out=act)
 
 
-def _upsample(x: np.ndarray) -> np.ndarray:
-    """Double the time axis: kept samples at even slots, midpoints between
-    neighbours at odd slots, last slot repeats the final sample."""
-    b, c, t = x.shape
-    y = np.empty((b, c, 2 * t))
-    y[..., 0::2] = x
-    y[..., 1:-1:2] = 0.5 * (x[..., :-1] + x[..., 1:])
-    y[..., -1] = x[..., -1]
-    return y
+def _upsample(x: np.ndarray, out: np.ndarray) -> None:
+    """Double the time axis into out: samples at even slots, neighbour midpoints at odd ones, the last repeated."""
+    out[..., 0::2] = x
+    mid = np.add(x[..., :-1], x[..., 1:], out=out[..., 1:-1:2])
+    mid *= 0.5
+    out[..., -1] = x[..., -1]
 
 
-def _upsample_backward(d_out: np.ndarray) -> np.ndarray:
-    d_odd = d_out[..., 1::2]
-    dx = d_out[..., 0::2].copy()
-    dx[..., :-1] += 0.5 * d_odd[..., :-1]
-    dx[..., 1:] += 0.5 * d_odd[..., :-1]
-    dx[..., -1] += d_odd[..., -1]
-    return dx
+def _upsample_backward(d_out: np.ndarray, out: np.ndarray) -> None:
+    """Adjoint of _upsample into out; halves d_out's odd columns in place."""
+    d_even, d_odd = d_out[..., 0::2], d_out[..., 1::2]
+    d_odd[..., :-1] *= 0.5
+    np.add(d_even, d_odd, out=out)
+    out[..., -1] = d_even[..., -1]
+    out[..., 1:] += d_odd[..., :-1]
+    out[..., -1] += d_odd[..., -1]
 
 
 def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run a (B, input_len) batch; returns vocal estimates and the cache."""
     mixtures = np.asarray(mixtures, dtype=np.float64)
     if mixtures.ndim != 2 or mixtures.shape[1] != net.config.input_len:
-        raise ShapeMismatch(
-            f"expected batch shape (B, {net.config.input_len}), got {mixtures.shape}"
-        )
-    cache = ForwardCache(net.layers, mixtures)
+        raise ShapeMismatch(f"expected batch shape (B, {net.config.input_len}), got {mixtures.shape}")
+    pad = (max(net.config.down_kernel, net.config.up_kernel) - 1) // 2
+    cache = ForwardCache(net.layers, mixtures, pad)
     for idx, layer in enumerate(net.layers):
-        pre = _conv_forward(cache.conv_input(idx), layer.weights, layer.bias)
+        pre = _window(_conv_forward(cache.conv_input(idx), layer.weights, layer.bias, pad), pad)
         cache.activations.append(np.tanh(pre) if layer.role == "output" else _leaky(pre))
     return cache.vocals, cache
 
 
 def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> list[np.ndarray]:
-    """Exact parameter gradients given d(loss)/d(vocals) for the cached batch.
-
-    Returns arrays interleaved as [d_weights, d_bias, ...] matching
-    net.parameters() order.
-    """
+    """Exact parameter gradients given d(loss)/d(vocals) for the cached batch,
+    interleaved as [d_weights, d_bias, ...] in net.parameters() order."""
     d_vocals = np.asarray(d_vocals, dtype=np.float64)
     if d_vocals.shape != cache.vocals.shape:
-        raise ShapeMismatch(
-            f"d_vocals shape {d_vocals.shape} does not match cached vocals {cache.vocals.shape}"
-        )
+        raise ShapeMismatch(f"d_vocals shape {d_vocals.shape} does not match cached vocals {cache.vocals.shape}")
+    pad, acts = cache.pad, cache.activations
     grads: list[np.ndarray | None] = [None] * (2 * len(net.layers))
-    d_skips: dict[int, np.ndarray] = {}
-    d_cur = d_vocals[:, None, :]
+    # d(loss)/d(output) of each conv in a zero-gapped buffer, made when its first part arrives.
+    d_outs: list[np.ndarray | None] = [None] * len(acts)
+
+    def d_out(i: int) -> np.ndarray:
+        if d_outs[i] is None:
+            d_outs[i] = np.zeros(acts[i].shape[:2] + (acts[i].shape[2] + 2 * pad,))
+        return _window(d_outs[i], pad)
+
+    np.multiply(d_vocals, 1.0 - cache.vocals**2, out=d_out(len(acts) - 1)[0])
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        act = cache.activations[idx]
-        if layer.role == "down":
-            d_act = np.zeros_like(act)
-            d_act[:, :, ::2] = d_cur
-            d_act += d_skips.pop(layer.level)
-            d_cur = d_act
-        # Multiply, not np.where(act > 0, d_cur, ...): that reorders d_bias's sum.
-        d_pre = d_cur * (1.0 - act**2 if layer.role == "output" else np.where(act > 0, 1.0, LEAKY_SLOPE))
-        grads[2 * idx], grads[2 * idx + 1], d_in = _conv_backward(cache.conv_input(idx), layer.weights, d_pre)
+        if layer.role != "output":
+            # act > 0 exactly when pre > 0, so the LeakyReLU slope reads off act.
+            slope = (acts[idx] > 0).astype(np.float64)
+            d_out(idx)[:] *= np.maximum(slope, LEAKY_SLOPE, out=slope)
+        ds, d_outs[idx] = d_outs[idx], None
+        grads[2 * idx], grads[2 * idx + 1], dxs = _conv_backward(cache.conv_input(idx), layer.weights, ds, pad)
+        if idx == 0:
+            break
+        d_in = _window(dxs, pad)
         if layer.role == "up":
             # The input blocks are [upsampled_below, skip]; the skip has C_out channels.
             below = layer.weights.shape[1] - layer.weights.shape[0]
-            d_skips[layer.level] = d_in[:, below:]
-            d_cur = _upsample_backward(d_in[:, :below])
-        else:
-            d_cur = d_in
+            d_out(layer.level - 1)[:] = d_in[below:]
+            _upsample_backward(d_in[:below], d_out(idx - 1))
+        else:  # the previous activation, decimated after a down conv
+            d_out(idx - 1)[:, :, :: 2 if net.layers[idx - 1].role == "down" else 1] += d_in
     return grads  # type: ignore[return-value]
 
 
@@ -347,30 +356,25 @@ def collect_filter_banks(net: SepNet) -> list[FilterBank]:
     return banks
 
 
-def separate_signal(
-    net: SepNet, mixture: np.ndarray, batch_size: int = 8
-) -> tuple[np.ndarray, np.ndarray]:
+def separate_signal(net: SepNet, mixture: np.ndarray, batch_size: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Separate an arbitrary-length mono signal window by window.
 
     The signal is processed in consecutive config.input_len windows, the
     tail zero-padded and cropped back. Accompaniment is mixture - vocals
     over the whole signal.
     """
+    if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
+        raise InvalidConfig(f"batch_size must be an int >= 1, got {batch_size!r}")
     mixture = np.asarray(mixture, dtype=np.float64)
     if mixture.ndim != 1 or mixture.size == 0:
         raise ShapeMismatch(f"mixture must be a non-empty 1-D signal, got shape {mixture.shape}")
-    win = net.config.input_len
-    total = mixture.size
-    padded_len = ((total + win - 1) // win) * win
-    padded = np.zeros(padded_len)
-    padded[:total] = mixture
-    windows = padded.reshape(-1, win)
-    voc_parts = []
-    for start in range(0, windows.shape[0], batch_size):
-        vocals, _ = forward_batch(net, windows[start : start + batch_size])
-        voc_parts.append(vocals)
-    vocals_full = np.concatenate(voc_parts, axis=0).reshape(-1)[:total]
-    return vocals_full, mixture - vocals_full
+    win, total = net.config.input_len, mixture.size
+    windows = np.zeros(-(-total // win) * win)
+    windows[:total] = mixture
+    windows = windows.reshape(-1, win)
+    parts = [forward_batch(net, windows[start : start + batch_size])[0] for start in range(0, len(windows), batch_size)]
+    vocals = np.concatenate(parts).reshape(-1)[:total]
+    return vocals, mixture - vocals
 
 
 def save_checkpoint(net: SepNet, path) -> None:
@@ -408,14 +412,14 @@ def load_checkpoint(path) -> SepNet:
         header = json.loads(data[offset : offset + header_len].decode("utf-8"))
         config = NetConfig(**header["config"])
         stored = header["layers"]
+        if not isinstance(stored, list) or not all(isinstance(meta, dict) for meta in stored):
+            raise TypeError(f"'layers' must be a list of objects, got {stored!r}")
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptHeader(f"{path}: unreadable header ({exc})") from exc
     offset += header_len
     plan = _layer_plan(config)
     if len(stored) != len(plan):
-        raise IncompatibleShape(
-            f"{path}: header lists {len(stored)} layers, config implies {len(plan)}"
-        )
+        raise IncompatibleShape(f"{path}: header lists {len(stored)} layers, config implies {len(plan)}")
     layers = []
     for meta, (role, level, c_in, c_out, kernel) in zip(stored, plan):
         shape = (meta.get("out_channels"), meta.get("in_channels"), meta.get("kernel"))

@@ -9,7 +9,8 @@ import pytest
 from hypersep import cli as cli_module
 from hypersep.cli import build_parser, cli
 from hypersep.dataset import load_manifest
-from hypersep.errors import HypersepError
+from hypersep.errors import CorruptHeader, HypersepError
+from hypersep.net import load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -282,14 +283,30 @@ class TestMalformedInput:
         self._check(["energy-inspect", "--ckpt", str(pipeline["ckpt"]), "--mhe-config", str(path)],
                     "clamp_epsilon", capsys)
 
-    def test_checkpoint_header_config(self, pipeline, tmp_path, capsys):
+    @staticmethod
+    def _edited_checkpoint(pipeline, tmp_path, key, value):
         blob = pipeline["ckpt"].read_bytes()
         (hlen,) = struct.unpack_from("<I", blob, 5)
         header = json.loads(blob[9 : 9 + hlen])
-        header["config"]["depth"] = "1"
+        if key == "layers":
+            header["layers"] = value
+        else:
+            header["config"][key] = value
         new = json.dumps(header).encode()
         ckpt = tmp_path / "bad.ckpt"
         ckpt.write_bytes(blob[:5] + struct.pack("<I", len(new)) + new + blob[9 + hlen :])
+        return ckpt
+
+    def test_checkpoint_header_config(self, pipeline, tmp_path, capsys):
+        ckpt = self._edited_checkpoint(pipeline, tmp_path, "depth", "1")
         self._check(["energy-inspect", "--ckpt", str(ckpt)], "depth", capsys)
         self._check(["evaluate", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
                      "--report", str(tmp_path / "r.csv")], "depth", capsys)
+
+    @pytest.mark.parametrize("layers", [5, None, [1, 2, 3, 4]], ids=["int", "null", "ints"])
+    def test_checkpoint_header_layers(self, pipeline, tmp_path, capsys, layers):
+        ckpt = self._edited_checkpoint(pipeline, tmp_path, "layers", layers)
+        with pytest.raises(CorruptHeader, match="layers"):
+            load_checkpoint(ckpt)
+        self._check(["evaluate", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
+                     "--report", str(tmp_path / "r.csv")], "layers", capsys)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hypersep import net as net_module
 from hypersep.errors import (
     CorruptHeader,
     IncompatibleShape,
@@ -63,6 +64,21 @@ def conv_oracle(x, weights, bias):
                     acc += weights[o, i, k] * xp[i, pos + k]
             y[o, pos] = acc
     return y
+
+
+def reference_vocals(net, x):
+    """One window through the net conv by conv with conv_oracle, on (C, T) arrays."""
+    h, skips = x[None], {}
+    for layer in net.layers:
+        if layer.role == "up":
+            up = np.empty((len(h), 2 * h.shape[1]))
+            _upsample(h, up)
+            h = np.concatenate([up, skips[layer.level]])
+        pre = conv_oracle(h, layer.weights, layer.bias)
+        h = np.tanh(pre) if layer.role == "output" else np.where(pre > 0, pre, 0.3 * pre)
+        if layer.role == "down":
+            skips[layer.level], h = h, h[:, ::2]
+    return h[0]
 
 
 class TestConfig:
@@ -161,6 +177,29 @@ CONV_SHAPES = {
 }
 
 
+# The net's convs read and write gapped (C, B, T + 2 * pad) buffers; these
+# adapters take and return (B, C, T) arrays. PAD = 7 is the default config's
+# gap: wider than every kernel here but K = 15, so most convs read their taps
+# at the offset PAD - p that the narrower up convs use in the net.
+PAD = 7
+
+
+def gapped(x):
+    batch, c, t = x.shape
+    xs = np.zeros((c, batch, t + 2 * PAD))
+    xs[:, :, PAD : PAD + t] = x.transpose(1, 0, 2)
+    return xs
+
+
+def conv_forward(x, w, b):
+    return _conv_forward(gapped(x), w, b, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
+
+
+def conv_backward(x, w, d):
+    d_weights, d_bias, dxs = _conv_backward(gapped(x), w, gapped(d), PAD)
+    return d_weights, d_bias, dxs[:, :, PAD:-PAD].transpose(1, 0, 2)
+
+
 def random_conv(shape, seed):
     batch, c_in, c_out, kernel, t = shape
     rng = np.random.default_rng(seed)
@@ -174,7 +213,7 @@ class TestConvAndResampling:
     def test_conv_matches_loop_oracle(self, shape):
         rng, x, w = random_conv(shape, 71)
         b = rng.standard_normal(w.shape[0])
-        y = _conv_forward([x], w, b)
+        y = conv_forward(x, w, b)
         for item in range(x.shape[0]):
             np.testing.assert_allclose(y[item], conv_oracle(x[item], w, b), rtol=1e-12)
 
@@ -185,7 +224,7 @@ class TestConvAndResampling:
         d = rng.standard_normal((x.shape[0], w.shape[0], x.shape[2]))
         v = rng.standard_normal(w.shape)
         u = rng.standard_normal(x.shape)
-        d_weights, d_bias, d_input = _conv_backward([x], w, d)
+        d_weights, d_bias, d_input = conv_backward(x, w, d)
         zero = np.zeros(w.shape[0])
 
         def pair(arg, weights):
@@ -195,11 +234,18 @@ class TestConvAndResampling:
         assert pair(u, w) == pytest.approx(float(np.sum(d_input * u)), rel=1e-12)
         np.testing.assert_array_equal(d_bias, d.sum(axis=(0, 2)))
 
+    @pytest.mark.parametrize("shape", CONV_SHAPES.values(), ids=CONV_SHAPES.keys())
+    def test_narrow_column_blocks(self, shape, monkeypatch):
+        """Blocks of 4 columns cut through windows and gaps; neither pass may notice."""
+        monkeypatch.setattr(net_module, "_BLOCK", 4)
+        self.test_conv_matches_loop_oracle(shape)
+        self.test_conv_backward_is_adjoint(shape)
+
     def test_kernel_one_conv_is_channel_mix(self):
         rng = np.random.default_rng(72)
         x = rng.standard_normal((2, 3, 7))
         w = rng.standard_normal((1, 3, 1))
-        y = _conv_forward([x], w, np.zeros(1))
+        y = conv_forward(x, w, np.zeros(1))
         np.testing.assert_allclose(y, np.einsum("oi,bit->bot", w[:, :, 0], x), rtol=1e-12)
 
     def test_leaky_keeps_the_sign_of_its_input(self):
@@ -210,15 +256,20 @@ class TestConvAndResampling:
 
     def test_upsample_values(self):
         x = np.array([[[1.0, 2.0, 3.0]]])
-        np.testing.assert_array_equal(_upsample(x)[0, 0], [1.0, 1.5, 2.0, 2.5, 3.0, 3.0])
+        out = np.empty((1, 1, 6))
+        _upsample(x, out)
+        np.testing.assert_array_equal(out[0, 0], [1.0, 1.5, 2.0, 2.5, 3.0, 3.0])
 
     def test_upsample_backward_is_adjoint(self):
         """<up(x), g> == <x, up_backward(g)> since upsampling is linear."""
         rng = np.random.default_rng(73)
         x = rng.standard_normal((2, 3, 8))
         g = rng.standard_normal((2, 3, 16))
-        lhs = float(np.sum(_upsample(x) * g))
-        rhs = float(np.sum(x * _upsample_backward(g)))
+        up, up_adjoint = np.empty_like(g), np.empty_like(x)
+        _upsample(x, up)
+        lhs = float(np.sum(up * g))
+        _upsample_backward(g, up_adjoint)  # halves g's odd columns, so after lhs
+        rhs = float(np.sum(x * up_adjoint))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -306,6 +357,35 @@ class TestBackward:
         for g, p in zip(grads, params):
             assert g.shape == p.shape
 
+    @pytest.mark.parametrize(
+        "config",
+        [tiny_config(seed=12), tiny_config(depth=3, down_kernel=15, up_kernel=5, input_len=64, seed=12)],
+        ids=["tiny", "depth3"],
+    )
+    @pytest.mark.parametrize("block", [None, 5], ids=["block", "block5"])
+    def test_windows_are_independent(self, config, block, monkeypatch):
+        """A batch gives each window's own output and the sum of their gradients: no
+        tap reaches across the gaps, even where the coarsest level is shorter than a kernel,
+        and every conv reads its taps at its own offset into the shared gap."""
+        if block:
+            monkeypatch.setattr(net_module, "_BLOCK", block)
+        net = init_net(config)
+        rng = np.random.default_rng(80)
+        mixtures = rng.uniform(-1, 1, (3, config.input_len))
+        cotangent = rng.standard_normal(mixtures.shape)
+        vocals, cache = forward_batch(net, mixtures)
+        grads = backward_batch(net, cache, cotangent)
+        np.testing.assert_allclose(vocals[0], reference_vocals(net, mixtures[0]), rtol=1e-12, atol=1e-15)
+        summed = [np.zeros_like(p) for p in net.parameters()]
+        for i in range(3):
+            alone, cache = forward_batch(net, mixtures[i : i + 1])
+            np.testing.assert_allclose(vocals[i], alone[0], rtol=1e-12)
+            for total, g in zip(summed, backward_batch(net, cache, cotangent[i : i + 1])):
+                total += g
+        for g, total in zip(grads, summed):
+            # Entries that cancel to near zero are held to 1e-12 of the largest.
+            np.testing.assert_allclose(g, total, rtol=1e-12, atol=1e-12 * np.abs(total).max())
+
     def test_cotangent_shape_checked(self):
         net = init_net(tiny_config())
         vocals, cache = forward_batch(net, np.zeros((2, 16)))
@@ -357,6 +437,12 @@ class TestSeparateSignal:
         # so agreement is to rounding, not bitwise
         first_window = forward(net, mixture[:16])
         np.testing.assert_allclose(vocals[:16], first_window.vocals, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, "2", True])
+    def test_batch_size_not_a_positive_int_rejected(self, batch_size):
+        net = init_net(tiny_config())
+        with pytest.raises(InvalidConfig, match="batch_size"):
+            separate_signal(net, np.zeros(40), batch_size=batch_size)
 
     def test_empty_signal_rejected(self):
         net = init_net(tiny_config())
