@@ -198,7 +198,7 @@ def build_parser() -> _Parser:
     th.add_argument("--s", type=int, default=1, choices=(0, 1, 2), help="kernel power (default 1)")
     th.add_argument("--distance", default="euclidean", choices=("euclidean", "angular"),
                     help="pairwise distance (default euclidean)")
-    th.add_argument("--steps", type=int, default=2000, help="descent steps per restart (default 2000)")
+    th.add_argument("--steps", type=int, default=2000, help="at most this many descent steps per restart (default 2000)")
     th.add_argument("--restarts", type=int, default=8, help="independent starts (default 8)")
     th.add_argument("--seed", type=int, default=0, help="restart seed (default 0)")
     th.set_defaults(func=_cmd_thomson)

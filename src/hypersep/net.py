@@ -235,9 +235,8 @@ def _conv_forward(xs: np.ndarray, weights: np.ndarray, bias: np.ndarray, pad: in
     return ys
 
 
-def _conv_backward(xs: np.ndarray, weights: np.ndarray, ds: np.ndarray, pad: int) -> tuple[np.ndarray, ...]:
-    """(d_weights, d_bias, d_input) of _conv_forward given d_out in a gapped buffer with zero
-    gaps; d_input is written over xs, and only its window columns are defined."""
+def _conv_param_grads(xs: np.ndarray, weights: np.ndarray, ds: np.ndarray, pad: int) -> tuple[np.ndarray, ...]:
+    """(d_weights, d_bias) of _conv_forward given d_out in a gapped buffer with zero gaps."""
     c_out, c_in, kernel = weights.shape
     p = (kernel - 1) // 2
     x2, d2 = xs.reshape(c_in, -1), ds.reshape(c_out, -1)
@@ -249,9 +248,16 @@ def _conv_backward(xs: np.ndarray, weights: np.ndarray, ds: np.ndarray, pad: int
         np.matmul(d2[:, pad : pad + n], x2[:, pad - p + k : pad - p + k + n].T, out=d_weights[k])
     # Window by window, as numpy sums a (B, C_out, T) array over (0, 2).
     d_bias = sum(d.sum(axis=1) for d in _window(ds, pad).transpose(1, 0, 2))
-    # d_input is the exact adjoint of the forward sum over taps.
-    _shifted_sum(x2, weights.transpose(2, 1, 0).copy(), d2, [p - k for k in range(kernel)], pad)
-    return np.ascontiguousarray(d_weights.transpose(1, 2, 0)), d_bias, xs
+    return np.ascontiguousarray(d_weights.transpose(1, 2, 0)), d_bias
+
+
+def _conv_input_grad(xs: np.ndarray, weights: np.ndarray, ds: np.ndarray, pad: int) -> np.ndarray:
+    """d_input of _conv_forward, the exact adjoint of its sum over taps, written over xs once
+    _conv_param_grads has read it; only its window columns are defined."""
+    c_out, c_in, kernel = weights.shape
+    taps, p = weights.transpose(2, 1, 0).copy(), (kernel - 1) // 2
+    _shifted_sum(xs.reshape(c_in, -1), taps, ds.reshape(c_out, -1), [p - k for k in range(kernel)], pad)
+    return xs
 
 
 def _leaky(x: np.ndarray) -> np.ndarray:
@@ -315,10 +321,11 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> li
             slope = (acts[idx] > 0).astype(np.float64)
             d_out(idx)[:] *= np.maximum(slope, LEAKY_SLOPE, out=slope)
         ds, d_outs[idx] = d_outs[idx], None
-        grads[2 * idx], grads[2 * idx + 1], dxs = _conv_backward(cache.conv_input(idx), layer.weights, ds, pad)
+        xs = cache.conv_input(idx)
+        grads[2 * idx], grads[2 * idx + 1] = _conv_param_grads(xs, layer.weights, ds, pad)
         if idx == 0:
-            break
-        d_in = _window(dxs, pad)
+            break  # nothing reads the mixture's gradient
+        d_in = _window(_conv_input_grad(xs, layer.weights, ds, pad), pad)
         if layer.role == "up":
             # The input blocks are [upsampled_below, skip]; the skip has C_out channels.
             below = layer.weights.shape[1] - layer.weights.shape[0]

@@ -2,12 +2,13 @@
 
 This is the validation harness for the energy machinery: N unconstrained
 points on S^(d-1) are driven to low energy by projected gradient descent
-(step, renormalize, halve the step on any increase), and the result is
-compared against exactly known optimal configurations - the antipodal
-pair, the equilateral triangle, and the regular tetrahedron, octahedron,
-and icosahedron. If the analytic gradients were wrong anywhere, these
-optima would be unreachable. Each trial is normalized once, here, and goes
-to the energy core as unit rows: no evaluation re-checks or re-projects it.
+(step, renormalize, halve the step on any step that fails to lower the
+energy), and the result is compared against exactly known optimal
+configurations - the antipodal pair, the equilateral triangle, and the
+regular tetrahedron, octahedron, and icosahedron. If the analytic gradients
+were wrong anywhere, these optima would be unreachable. Each trial is
+normalized once, here, and goes to the energy core as unit rows: no
+evaluation re-checks or re-projects it.
 """
 
 from dataclasses import dataclass
@@ -88,10 +89,11 @@ def minimize_energy(
 ) -> tuple[float, PointSet]:
     """Projected gradient descent from `restarts` Gaussian starts.
 
-    Each trial step moves against the gradient and renormalizes rows; if
-    the energy rises the step is halved and retried, so the accepted
-    history is non-increasing. Ties across restarts resolve to the lowest
-    restart index.
+    Each trial step moves against the gradient and renormalizes rows; it is
+    accepted only if it strictly lowers the energy, else the step is halved
+    and retried, so the accepted history is strictly decreasing. `steps` caps
+    a restart's accepted steps; it ends sooner once no step down to 1e-18
+    lowers the energy. Ties across restarts resolve to the lowest restart index.
     """
     if n_points < 2 or dim < 2:
         raise InvalidConfig(f"need n_points >= 2 and dim >= 2, got ({n_points}, {dim})")
@@ -108,16 +110,14 @@ def minimize_energy(
         history = [energy]
         step = step_size
         for _ in range(steps):
-            while True:
+            while step >= 1e-18:
                 trial = _normalize_rows(points - step * gradient)
                 trial_result = _unit_energy(trial, unit_norms, config)
-                if trial_result.energy <= energy:
+                if trial_result.energy < energy:
                     break
                 step *= 0.5
-                if step < 1e-18:
-                    break
-            if trial_result.energy > energy:
-                break  # no descent direction left at float resolution
+            else:
+                break  # no step lowers the energy at float resolution
             points, energy, gradient = trial, trial_result.energy, trial_result.gradient
             history.append(energy)
             step = min(step * 1.3, step_size)

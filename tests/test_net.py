@@ -14,8 +14,9 @@ from hypersep.errors import (
 )
 from hypersep.net import (
     NetConfig,
-    _conv_backward,
     _conv_forward,
+    _conv_input_grad,
+    _conv_param_grads,
     _layer_plan,
     _leaky,
     _upsample,
@@ -196,8 +197,9 @@ def conv_forward(x, w, b):
 
 
 def conv_backward(x, w, d):
-    d_weights, d_bias, dxs = _conv_backward(gapped(x), w, gapped(d), PAD)
-    return d_weights, d_bias, dxs[:, :, PAD:-PAD].transpose(1, 0, 2)
+    xs, ds = gapped(x), gapped(d)
+    d_weights, d_bias = _conv_param_grads(xs, w, ds, PAD)
+    return d_weights, d_bias, _conv_input_grad(xs, w, ds, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
 
 
 def random_conv(shape, seed):
@@ -356,6 +358,16 @@ class TestBackward:
         assert len(grads) == len(params)
         for g, p in zip(grads, params):
             assert g.shape == p.shape
+
+    def test_no_input_gradient_for_the_first_conv(self, monkeypatch):
+        """One tap loop per conv but the first: nothing reads the mixture's gradient."""
+        net = init_net(tiny_config(seed=11))
+        vocals, cache = forward_batch(net, np.random.default_rng(79).uniform(-1, 1, (2, 16)))
+        calls = []
+        loop = net_module._shifted_sum
+        monkeypatch.setattr(net_module, "_shifted_sum", lambda *a, **k: calls.append(1) or loop(*a, **k))
+        backward_batch(net, cache, np.ones_like(vocals))
+        assert len(calls) == len(net.layers) - 1
 
     @pytest.mark.parametrize(
         "config",
