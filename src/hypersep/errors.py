@@ -102,6 +102,10 @@ class Diverged(HypersepError):
         super().__init__(f"training diverged at {where}: {what} is not finite")
 
 
+class ConsumedCache(HypersepError):
+    """A forward cache was used again after backward_batch released its activations."""
+
+
 class CorruptHeader(HypersepError):
     """A binary file (WAV or checkpoint) fails structural validation."""
 

@@ -17,8 +17,8 @@ x[:, j - p + k] for all columns j at once, so its output lands in its input's
 columns and no tap crosses a gap; the input gradient is the same sum with
 transposed taps, so backward returns exact gradients. The forward cache
 keeps each conv's (C, B, T) activation only; both passes rebuild a conv's
-gapped input from it (ForwardCache.conv_input), and backward reads the
-LeakyReLU slope off the activation (act > 0 exactly when pre > 0).
+gapped input from it (ForwardCache.conv_input). Backward reads the LeakyReLU
+slope off an activation (act > 0 exactly when pre > 0), then releases it.
 """
 
 import json
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .energy import FilterBank
-from .errors import CorruptHeader, IncompatibleShape, InvalidConfig, ShapeMismatch, check_fields
+from .errors import ConsumedCache, CorruptHeader, IncompatibleShape, InvalidConfig, ShapeMismatch, check_fields
 from .fileio import write_atomic
 
 LEAKY_SLOPE = 0.3
@@ -127,12 +127,12 @@ class SepOutput:
 
 @dataclass
 class ForwardCache:
-    """A batch's mixtures, its gap width, and the (C, B, T) output activation of every conv so far."""
+    """A batch's mixtures, its gap width, and the (C, B, T) output of every conv so far, None once backward read it."""
 
     layers: list[ConvLayer]
     mixtures: np.ndarray
     pad: int
-    activations: list[np.ndarray] = field(default_factory=list)
+    activations: list[np.ndarray | None] = field(default_factory=list)
 
     def conv_input(self, idx: int) -> np.ndarray:
         """Conv idx's input as a gapped (C_in, B, T + 2 * pad) buffer; level l's skip is conv l - 1."""
@@ -157,6 +157,8 @@ class ForwardCache:
 
     @property
     def vocals(self) -> np.ndarray:
+        if self.activations[-1] is None:
+            raise ConsumedCache("this forward cache was already consumed by backward_batch")
         return self.activations[-1][0]
 
 
@@ -298,8 +300,8 @@ def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, Forwar
 
 
 def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> list[np.ndarray]:
-    """Exact parameter gradients given d(loss)/d(vocals) for the cached batch,
-    interleaved as [d_weights, d_bias, ...] in net.parameters() order."""
+    """Exact parameter gradients given d(loss)/d(vocals) for the cached batch, interleaved as [d_weights,
+    d_bias, ...] in net.parameters() order. Consumes the cache: reusing it raises ConsumedCache."""
     d_vocals = np.asarray(d_vocals, dtype=np.float64)
     if d_vocals.shape != cache.vocals.shape:
         raise ShapeMismatch(f"d_vocals shape {d_vocals.shape} does not match cached vocals {cache.vocals.shape}")
@@ -317,9 +319,12 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> li
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
         if layer.role != "output":
-            # act > 0 exactly when pre > 0, so the LeakyReLU slope reads off act.
-            slope = (acts[idx] > 0).astype(np.float64)
-            d_out(idx)[:] *= np.maximum(slope, LEAKY_SLOPE, out=slope)
+            # act > 0 exactly when pre > 0, so the LeakyReLU slope reads off act, a channel at a time.
+            for d, act in zip(d_out(idx), acts[idx]):
+                row = (act > 0).astype(np.float64)
+                d *= np.maximum(row, LEAKY_SLOPE, out=row)
+            del d, act, row  # the loop's views would keep the activation and ds alive
+        acts[idx] = None  # the convs that read it as input or skip have run backward already
         ds, d_outs[idx] = d_outs[idx], None
         xs = cache.conv_input(idx)
         grads[2 * idx], grads[2 * idx + 1] = _conv_param_grads(xs, layer.weights, ds, pad)
@@ -333,6 +338,7 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> li
             _upsample_backward(d_in[:below], d_out(idx - 1))
         else:  # the previous activation, decimated after a down conv
             d_out(idx - 1)[:, :, :: 2 if net.layers[idx - 1].role == "down" else 1] += d_in
+        del xs, ds, d_in  # before the next conv's input is built
     return grads  # type: ignore[return-value]
 
 
@@ -341,8 +347,7 @@ def forward(net: SepNet, mixture: np.ndarray) -> SepOutput:
     mixture = np.asarray(mixture, dtype=np.float64)
     if mixture.ndim != 1:
         raise ShapeMismatch(f"mixture must be 1-D, got shape {mixture.shape}")
-    vocals, _ = forward_batch(net, mixture[None, :])
-    v = vocals[0]
+    v = forward_batch(net, mixture[None, :])[0][0]
     return SepOutput(v, mixture - v)
 
 

@@ -280,7 +280,7 @@ def validation_mse(net: SepNet, songs, batch_size: int) -> float:
         mix = song.mixture[:usable].reshape(n_win, window)
         voc = song.vocals[:usable].reshape(n_win, window)
         for start in range(0, n_win, batch_size):
-            est, _ = forward_batch(net, mix[start : start + batch_size])
+            est = forward_batch(net, mix[start : start + batch_size])[0]  # drop the cache at once
             diff = est - voc[start : start + batch_size]
             total_sq += float(np.sum(diff * diff))
             total_n += diff.size

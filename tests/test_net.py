@@ -7,7 +7,9 @@ import pytest
 
 from hypersep import net as net_module
 from hypersep.errors import (
+    ConsumedCache,
     CorruptHeader,
+    HypersepError,
     IncompatibleShape,
     InvalidConfig,
     ShapeMismatch,
@@ -403,6 +405,43 @@ class TestBackward:
         vocals, cache = forward_batch(net, np.zeros((2, 16)))
         with pytest.raises(ShapeMismatch):
             backward_batch(net, cache, np.zeros((3, 16)))
+
+    def test_backward_consumes_the_cache(self):
+        """Backward releases every activation; reusing the cache fails by name, the vocals stay."""
+        net = init_net(tiny_config(seed=13))
+        vocals, cache = forward_batch(net, np.random.default_rng(81).uniform(-1, 1, (2, 16)))
+        kept = vocals.copy()
+        backward_batch(net, cache, np.ones_like(vocals))
+        assert len(cache.activations) == len(net.layers)
+        assert all(act is None for act in cache.activations)
+        assert issubclass(ConsumedCache, HypersepError)
+        with pytest.raises(ConsumedCache, match="already consumed"):
+            backward_batch(net, cache, np.ones_like(vocals))
+        with pytest.raises(ConsumedCache, match="already consumed"):
+            cache.vocals
+        assert np.array_equal(vocals, kept)
+
+    @pytest.mark.parametrize(
+        "config, batch",
+        [(NetConfig(depth=3, base_features=8, input_len=1024, seed=0), 8),
+         (NetConfig(depth=4, base_features=24, input_len=4096, seed=0), 4)],
+        ids=["acceptance7", "depth4"],
+    )
+    def test_backward_peak_stays_near_the_forward_peak(self, config, batch):
+        """Backward frees each activation and each conv's rebuilt input once read, so its traced
+        peak, the cache included, stays within 1.25x of the forward pass's."""
+        net = init_net(config)
+        mixtures = np.random.default_rng(82).uniform(-1, 1, (batch, config.input_len))
+        tracemalloc.start()
+        try:
+            vocals, cache = forward_batch(net, mixtures)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            backward_batch(net, cache, np.ones_like(vocals))
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert backward_peak <= 1.25 * forward_peak, f"backward {backward_peak} B, forward {forward_peak} B"
 
 
 class TestFilterBanks:

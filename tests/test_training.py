@@ -1,5 +1,6 @@
 """Trainer tests: Adam, augmentation, loss assembly, the two-phase loop."""
 
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,6 +82,16 @@ def tiny_cfg(**overrides):
     )
     base.update(overrides)
     return TrainConfig(**base)
+
+
+def traced_peak(fn):
+    """Peak bytes tracemalloc sees while fn runs, counted from nothing."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class StubRng:
@@ -450,6 +461,16 @@ class TestTrainLoop:
         split = FakeSplit([make_song(rng, 8)], [make_song(rng, 200)])
         with pytest.raises(EmptyDataset):
             train(tiny_net(), split, tiny_cfg())
+
+
+class TestValidationMse:
+    def test_peak_is_one_forward_pass(self):
+        """No batch's cache outlives its MSE: over 3 batches, the traced peak is that of one forward pass."""
+        net = init_net(NetConfig(depth=3, base_features=8, input_len=1024, seed=0))
+        song = make_song(np.random.default_rng(89), 3 * 8 * 1024)
+        forward_peak = traced_peak(lambda: training.forward_batch(net, song.mixture[: 8 * 1024].reshape(8, 1024)))
+        validation_peak = traced_peak(lambda: validation_mse(net, [song], batch_size=8))
+        assert validation_peak <= 1.1 * forward_peak, f"validation {validation_peak} B, forward {forward_peak} B"
 
 
 class TestDivergence:
