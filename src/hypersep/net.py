@@ -9,16 +9,16 @@ A final kernel-1 conv with tanh produces the vocal estimate in [-1, 1],
 and the accompaniment estimate is the input mixture minus the vocals, so
 the two always sum back to the mixture sample-for-sample.
 
-Forward and backward passes are written directly in numpy on one layout:
-B windows of C channels and T samples form a channel-major (C, B, T + 2P)
-buffer, each window between P zero columns, P = (largest kernel - 1) / 2.
-Flat, a conv of half-width p <= P is a sum over taps of W[:, :, k] @
-x[:, j - p + k] for all columns j at once, so its output lands in its input's
-columns and no tap crosses a gap; the input gradient is the same sum with
-transposed taps, so backward returns exact gradients. The forward cache
-keeps each conv's (C, B, T) activation only; both passes rebuild a conv's
-gapped input from it (ForwardCache.conv_input). Backward reads the LeakyReLU
-slope off an activation (act > 0 exactly when pre > 0), then releases it.
+Both passes are written in numpy on one layout: B windows of C channels and
+T samples form a channel-major (C, B, T + 2P) buffer, each window between P
+zero columns. Flat, a conv is a sum over taps of W_k @ x[:, j + s_k] for all
+columns j at once, so no tap crosses a gap, and its input gradient is the same
+sum with transposed taps. Nothing is upsampled at full rate: an up conv is a
+skip conv of the encoder activation plus a two-phase conv of its low-rate
+lower input, whose taps give the even and odd outputs (_phase_taps), with two
+edge fixes per window. The forward cache keeps each conv's (C, B, T) output
+only; backward reads the LeakyReLU slope off it (act > 0 exactly when pre > 0)
+and releases it.
 """
 
 import json
@@ -125,41 +125,60 @@ class SepOutput:
     accompaniment: np.ndarray
 
 
+def _conv_plan(layers: list[ConvLayer]) -> list[tuple[int, int | None, int, bool]]:
+    """(stride, skip, low, leaky) per conv: it reads every stride-th sample of the previous conv's output (conv 0:
+    the mixtures), at the low rate through its first low input channels if it is an up conv, whose others read conv
+    skip's output; then LeakyReLU if leaky, else tanh."""
+    return [(2 if idx and layers[idx - 1].role == "down" else 1, l.level - 1 if l.role == "up" else None,
+             l.weights.shape[1] - l.weights.shape[0] if l.role == "up" else 0, l.role != "output")
+            for idx, l in enumerate(layers)]
+
+
 @dataclass
 class ForwardCache:
-    """A batch's mixtures, its gap width, and the (C, B, T) output of every conv so far, None once backward read it."""
+    """A batch's mixtures, its gap width, each conv's plan, and the (C, B, T) output of every conv so far; backward
+    sets each to None once read."""
 
-    layers: list[ConvLayer]
-    mixtures: np.ndarray
+    plan: list[tuple[int, int | None, int, bool]]
+    mixtures: np.ndarray | None
     pad: int
     activations: list[np.ndarray | None] = field(default_factory=list)
 
-    def conv_input(self, idx: int) -> np.ndarray:
-        """Conv idx's input as a gapped (C_in, B, T + 2 * pad) buffer; level l's skip is conv l - 1."""
-        prev = self.mixtures[None] if idx == 0 else self.activations[idx - 1]
-        if idx and self.layers[idx - 1].role == "down":
-            prev = prev[:, :, ::2]
-        layer, (c, batch, t) = self.layers[idx], prev.shape
-        if layer.role != "up":
-            xs = np.zeros((c, batch, t + 2 * self.pad))
-            _window(xs, self.pad)[:] = prev
-            return xs
-        skip = self.activations[layer.level - 1]
-        xs = np.zeros((c + len(skip), batch, 2 * t + 2 * self.pad))
-        _upsample(prev, _window(xs, self.pad)[:c])
-        _window(xs, self.pad)[c:] = skip
+    def output(self, i: int) -> np.ndarray:
+        """Conv i's (C, B, T) output; i = -1 gives the mixtures as one channel."""
+        x = self.mixtures if i < 0 else self.activations[i]
+        if x is None:
+            raise ConsumedCache("this forward cache was already consumed by backward_batch")
+        return x[None] if i < 0 else x
+
+    def gapped(self, i: int, stride: int = 1) -> np.ndarray:
+        """Every stride-th sample of output(i) in a gapped (C, B, T + 2 * pad) buffer."""
+        x = self.output(i)[:, :, ::stride]
+        xs = np.zeros(x.shape[:2] + (x.shape[2] + 2 * self.pad,))
+        _window(xs, self.pad)[:] = x
         return xs
+
+    def conv_input(self, idx: int) -> np.ndarray:
+        """Conv idx's input, gapped; for an up conv, its lower input at the low rate, without the skip."""
+        return self.gapped(idx - 1, self.plan[idx][0])
 
     @property
     def conv_inputs(self) -> list[np.ndarray]:
-        """Every conv's input as one (B, C_in, T) array, built on demand."""
-        return [_window(self.conv_input(i), self.pad).transpose(1, 0, 2) for i in range(len(self.activations))]
+        """Every conv's full-rate input as one (B, C_in, T) array, [_upsample(lower); skip] for an up conv: the
+        reference for what the convs compute, built on demand."""
+        inputs = []
+        for idx, (_, skip, _, _) in enumerate(self.plan):
+            x = _window(self.conv_input(idx), self.pad)
+            if skip is not None:
+                up = np.empty(x.shape[:2] + (2 * x.shape[2],))
+                _upsample(x, up)
+                x = np.concatenate([up, self.output(skip)])
+            inputs.append(x.transpose(1, 0, 2))
+        return inputs
 
     @property
     def vocals(self) -> np.ndarray:
-        if self.activations[-1] is None:
-            raise ConsumedCache("this forward cache was already consumed by backward_batch")
-        return self.activations[-1][0]
+        return self.output(len(self.activations) - 1)[0]
 
 
 def _layer_plan(config: NetConfig) -> list[tuple[str, int, int, int, int]]:
@@ -204,10 +223,11 @@ def _window(xs: np.ndarray, pad: int) -> np.ndarray:
 
 def _shifted_sum(out: np.ndarray, taps: np.ndarray, xs: np.ndarray, shifts: list[int], pad: int, bias=None) -> None:
     """out[:, j] = sum_k taps[k] @ xs[:, j + shifts[k]] (+ bias) for the flat columns j between the
-    outer pads, one column block at a time. With fewer input rows than output rows a block's shifted
-    copies are stacked into one product; otherwise each tap's product is added in turn."""
+    outer pads, one column block at a time. With fewer input rows than output rows, or as many and at
+    most 512 rows to stack (small products, where one call beats K), a block's shifted copies are
+    stacked into one product; otherwise each tap's product is added in turn."""
     kernel, rows, c = taps.shape
-    n, stack = xs.shape[1] - 2 * pad, c < rows
+    n, stack = xs.shape[1] - 2 * pad, c < rows or (c == rows and kernel * c <= 512)
     wide = taps.transpose(1, 0, 2).reshape(rows, kernel * c) if stack else None
     buf = np.empty((kernel * c if stack else rows, min(n, _BLOCK)))
     for c0 in range(pad, pad + n, _BLOCK):
@@ -226,40 +246,90 @@ def _shifted_sum(out: np.ndarray, taps: np.ndarray, xs: np.ndarray, shifts: list
             acc += bias[:, None]
 
 
-def _conv_forward(xs: np.ndarray, weights: np.ndarray, bias: np.ndarray, pad: int) -> np.ndarray:
-    """Same-padded 1D conv of a gapped (C_in, B, T + 2 * pad) buffer, pad >= (K - 1) / 2, into a
-    new buffer of that layout; only its window columns are defined."""
-    c_out, c_in, kernel = weights.shape
-    p = (kernel - 1) // 2
-    ys = np.empty((c_out,) + xs.shape[1:])
-    taps = weights.transpose(2, 0, 1).copy()
-    _shifted_sum(ys.reshape(c_out, -1), taps, xs.reshape(c_in, -1), [k - p for k in range(kernel)], pad, bias)
+def _taps(weights: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A (C_out, C_in, K) conv's (K, C_out, C_in) tap stack and the shifts -p .. p its taps read at."""
+    p = (weights.shape[2] - 1) // 2
+    return weights.transpose(2, 0, 1), list(range(-p, p + 1))
+
+
+def _conv_forward(xs: np.ndarray, taps: np.ndarray, shifts: list[int], pad: int, bias=None) -> np.ndarray:
+    """The _shifted_sum of a gapped (C_in, B, T + 2 * pad) buffer, pad >= every |shift|, in a new such buffer."""
+    ys = np.empty((taps.shape[1],) + xs.shape[1:])
+    _shifted_sum(ys.reshape(len(ys), -1), np.ascontiguousarray(taps), xs.reshape(len(xs), -1), shifts, pad, bias)
     return ys
 
 
-def _conv_param_grads(xs: np.ndarray, weights: np.ndarray, ds: np.ndarray, pad: int) -> tuple[np.ndarray, ...]:
-    """(d_weights, d_bias) of _conv_forward given d_out in a gapped buffer with zero gaps."""
-    c_out, c_in, kernel = weights.shape
-    p = (kernel - 1) // 2
-    x2, d2 = xs.reshape(c_in, -1), ds.reshape(c_out, -1)
+def _conv_param_grads(xs: np.ndarray, ds: np.ndarray, shifts: list[int], pad: int) -> tuple[np.ndarray, ...]:
+    """(d_taps, d_bias) of _conv_forward given d_out in a gapped buffer with zero gaps."""
+    x2, d2 = xs.reshape(len(xs), -1), ds.reshape(len(ds), -1)
     n = x2.shape[1] - 2 * pad
-    # Output column j reads input columns j - p .. j + p; the zero gap
-    # columns of ds keep every window's gradient out of its neighbours.
-    d_weights = np.empty((kernel, c_out, c_in))
-    for k in range(kernel):
-        np.matmul(d2[:, pad : pad + n], x2[:, pad - p + k : pad - p + k + n].T, out=d_weights[k])
+    # Output column j reads input column j + s; ds's zero gaps keep every window's gradient out of its neighbours.
+    d_taps = np.empty((len(shifts), len(ds), len(xs)))
+    for k, s in enumerate(shifts):
+        np.matmul(d2[:, pad : pad + n], x2[:, pad + s : pad + s + n].T, out=d_taps[k])
     # Window by window, as numpy sums a (B, C_out, T) array over (0, 2).
-    d_bias = sum(d.sum(axis=1) for d in _window(ds, pad).transpose(1, 0, 2))
-    return np.ascontiguousarray(d_weights.transpose(1, 2, 0)), d_bias
+    return d_taps, sum(d.sum(axis=1) for d in _window(ds, pad).transpose(1, 0, 2))
 
 
-def _conv_input_grad(xs: np.ndarray, weights: np.ndarray, ds: np.ndarray, pad: int) -> np.ndarray:
+def _conv_input_grad(xs: np.ndarray, taps: np.ndarray, ds: np.ndarray, shifts: list[int], pad: int) -> np.ndarray:
     """d_input of _conv_forward, the exact adjoint of its sum over taps, written over xs once
-    _conv_param_grads has read it; only its window columns are defined."""
-    c_out, c_in, kernel = weights.shape
-    taps, p = weights.transpose(2, 1, 0).copy(), (kernel - 1) // 2
-    _shifted_sum(xs.reshape(c_in, -1), taps, ds.reshape(c_out, -1), [p - k for k in range(kernel)], pad)
+    _conv_param_grads has read it, gaps zeroed."""
+    adjoint = taps.transpose(0, 2, 1).copy()
+    _shifted_sum(xs.reshape(len(xs), -1), adjoint, ds.reshape(len(ds), -1), [-s for s in shifts], pad)
+    xs[:, :, :pad] = xs[:, :, xs.shape[2] - pad :] = 0.0
     return xs
+
+
+def _phase_taps(w_taps: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The conv by a (K, C_out, C_low) tap stack of the linear interpolation u of a low-rate a between zero gaps,
+    u[d] = (a[floor(d / 2)] + a[ceil(d / 2)]) / 2, as one conv of a: (taps, shifts, M), where tap k reads
+    a[m + shifts[s]] at output 2m + r with weight M[r, k, s], and the (S, 2 * C_out, C_low) taps[s, r] = sum_k
+    M[r, k, s] w_taps[k] give the even outputs' rows, then the odd ones'."""
+    kernel, p = len(w_taps), (len(w_taps) - 1) // 2
+    shifts = np.arange(-((p + 1) // 2), p // 2 + 2)
+    d = (np.arange(2)[:, None] + np.arange(kernel) - p)[..., None]
+    m = 0.5 * (d // 2 == shifts) + 0.5 * ((d + 1) // 2 == shifts)
+    taps = np.tensordot(m, w_taps, axes=(1, 0)).transpose(1, 0, 2, 3).reshape(len(shifts), -1, w_taps.shape[2])
+    return taps, shifts.tolist(), m
+
+
+def _edges(kernel: int, t: int) -> list[np.ndarray]:
+    """(output, tap, low-rate column, weight) arrays of the fixes to a conv of u over t outputs, whose output j reads
+    u[j + k - p] through tap k: _upsample has u[-1] = 0, not a[0] / 2, and u[t - 1] = a[-1], not a[-1] / 2."""
+    p = (kernel - 1) // 2
+    fixes = [(p - 1 - k, k, 0, -0.5) for k in range(p)] + [(t - 1 + p - k, k, -1, 0.5) for k in range(p, kernel)]
+    return [np.array(column) for column in zip(*(fix for fix in fixes if 0 <= fix[0] < t))]
+
+
+def _phases(y: np.ndarray) -> np.ndarray:
+    """A (2, C, B, L) view of a (C, B, 2L) array: its even columns, then its odd ones."""
+    return y.reshape(y.shape[:2] + (-1, 2)).transpose(3, 0, 1, 2)
+
+
+def _add_two_phase(ys: np.ndarray, xs: np.ndarray, w_taps: np.ndarray, pad: int) -> None:
+    """Add to ys the conv by w_taps of _upsample(a), a the window of the gapped low-rate xs, without building it:
+    one conv of a gives its even and odd outputs, then the edge fixes apply to every window at once."""
+    phases = _conv_forward(xs, *_phase_taps(w_taps)[:2], pad)
+    y, a = _window(ys, pad), _window(xs, pad)
+    _phases(y)[:] += _window(phases, pad).reshape((2,) + y.shape[:2] + (-1,))
+    del phases
+    cols, ks, src, weight = _edges(len(w_taps), y.shape[2])
+    fixes = weight[:, None, None] * w_taps[ks] @ a[:, :, src].transpose(2, 0, 1)
+    np.add.at(y, (slice(None), slice(None), cols), fixes.transpose(1, 2, 0))
+
+
+def _two_phase_grads(xs: np.ndarray, d_phases: np.ndarray, w_taps: np.ndarray, a: np.ndarray, pad: int) -> np.ndarray:
+    """d_w_taps of _add_two_phase given its d_out's _phases in a gapped buffer, d_phases, and the (C_low, B, L)
+    low-rate a; d_a is written over xs, a's gapped copy, once read."""
+    taps, shifts, m = _phase_taps(w_taps)
+    d_taps = _conv_param_grads(xs, d_phases, shifts, pad)[0].reshape(len(shifts), 2, *w_taps.shape[1:])
+    d_w_taps = np.tensordot(m, d_taps, axes=([0, 2], [1, 0]))  # the adjoint of taps[s, r] = sum_k M[r, k, s] w[k]
+    d_a = _window(_conv_input_grad(xs, taps, d_phases, shifts, pad), pad)
+    cols, ks, src, weight = _edges(len(w_taps), 2 * a.shape[2])
+    g = weight[:, None, None] * _window(d_phases, pad).reshape((2, -1) + a.shape[1:])[cols % 2, :, :, cols // 2]
+    np.add.at(d_w_taps, ks, g @ a[:, :, src].transpose(2, 1, 0))
+    np.add.at(d_a, (slice(None), slice(None), src), (w_taps[ks].transpose(0, 2, 1) @ g).transpose(1, 2, 0))
+    return d_w_taps
 
 
 def _leaky(x: np.ndarray) -> np.ndarray:
@@ -276,26 +346,22 @@ def _upsample(x: np.ndarray, out: np.ndarray) -> None:
     out[..., -1] = x[..., -1]
 
 
-def _upsample_backward(d_out: np.ndarray, out: np.ndarray) -> None:
-    """Adjoint of _upsample into out; halves d_out's odd columns in place."""
-    d_even, d_odd = d_out[..., 0::2], d_out[..., 1::2]
-    d_odd[..., :-1] *= 0.5
-    np.add(d_even, d_odd, out=out)
-    out[..., -1] = d_even[..., -1]
-    out[..., 1:] += d_odd[..., :-1]
-    out[..., -1] += d_odd[..., -1]
-
-
 def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Run a (B, input_len) batch; returns vocal estimates and the cache."""
     mixtures = np.asarray(mixtures, dtype=np.float64)
     if mixtures.ndim != 2 or mixtures.shape[1] != net.config.input_len:
         raise ShapeMismatch(f"expected batch shape (B, {net.config.input_len}), got {mixtures.shape}")
-    pad = (max(net.config.down_kernel, net.config.up_kernel) - 1) // 2
-    cache = ForwardCache(net.layers, mixtures, pad)
-    for idx, layer in enumerate(net.layers):
-        pre = _window(_conv_forward(cache.conv_input(idx), layer.weights, layer.bias, pad), pad)
-        cache.activations.append(np.tanh(pre) if layer.role == "output" else _leaky(pre))
+    pad = (max(net.config.down_kernel, net.config.up_kernel, 3) - 1) // 2
+    cache = ForwardCache(_conv_plan(net.layers), mixtures, pad)
+    for idx, (layer, (_, skip, low, leaky)) in enumerate(zip(net.layers, cache.plan)):
+        # The full-rate part: the whole conv, or an up conv's skip conv; then the up conv's two-phase part.
+        xs = cache.conv_input(idx) if skip is None else cache.gapped(skip)
+        ys = _conv_forward(xs, *_taps(layer.weights[:, low:]), pad, layer.bias)
+        del xs
+        if skip is not None:
+            _add_two_phase(ys, cache.conv_input(idx), _taps(layer.weights[:, :low])[0], pad)
+        cache.activations.append((_leaky if leaky else np.tanh)(_window(ys, pad)))
+        del ys  # before the next conv's input is built
     return cache.vocals, cache
 
 
@@ -307,38 +373,43 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> li
         raise ShapeMismatch(f"d_vocals shape {d_vocals.shape} does not match cached vocals {cache.vocals.shape}")
     pad, acts = cache.pad, cache.activations
     grads: list[np.ndarray | None] = [None] * (2 * len(net.layers))
-    # d(loss)/d(output) of each conv in a zero-gapped buffer, made when its first part arrives.
+    # d(loss)/d(output) of each conv in a zero-gapped buffer: the one its first part was written in.
     d_outs: list[np.ndarray | None] = [None] * len(acts)
-
-    def d_out(i: int) -> np.ndarray:
-        if d_outs[i] is None:
-            d_outs[i] = np.zeros(acts[i].shape[:2] + (acts[i].shape[2] + 2 * pad,))
-        return _window(d_outs[i], pad)
-
-    np.multiply(d_vocals, 1.0 - cache.vocals**2, out=d_out(len(acts) - 1)[0])
+    d_outs[-1] = np.zeros((1, len(d_vocals), d_vocals.shape[1] + 2 * pad))
+    np.multiply(d_vocals, 1.0 - cache.vocals**2, out=_window(d_outs[-1], pad)[0])
     for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        if layer.role != "output":
+        weights, (stride, skip, low, leaky) = net.layers[idx].weights, cache.plan[idx]
+        ds, d_outs[idx] = d_outs[idx], None
+        if leaky:
             # act > 0 exactly when pre > 0, so the LeakyReLU slope reads off act, a channel at a time.
-            for d, act in zip(d_out(idx), acts[idx]):
+            for d, act in zip(_window(ds, pad), acts[idx]):
                 row = (act > 0).astype(np.float64)
                 d *= np.maximum(row, LEAKY_SLOPE, out=row)
             del d, act, row  # the loop's views would keep the activation and ds alive
         acts[idx] = None  # the convs that read it as input or skip have run backward already
-        ds, d_outs[idx] = d_outs[idx], None
-        xs = cache.conv_input(idx)
-        grads[2 * idx], grads[2 * idx + 1] = _conv_param_grads(xs, layer.weights, ds, pad)
-        if idx == 0:
-            break  # nothing reads the mixture's gradient
-        d_in = _window(_conv_input_grad(xs, layer.weights, ds, pad), pad)
-        if layer.role == "up":
-            # The input blocks are [upsampled_below, skip]; the skip has C_out channels.
-            below = layer.weights.shape[1] - layer.weights.shape[0]
-            d_out(layer.level - 1)[:] = d_in[below:]
-            _upsample_backward(d_in[:below], d_out(idx - 1))
-        else:  # the previous activation, decimated after a down conv
-            d_out(idx - 1)[:, :, :: 2 if net.layers[idx - 1].role == "down" else 1] += d_in
-        del xs, ds, d_in  # before the next conv's input is built
+        # The full-rate part, as in forward_batch.
+        xs = cache.conv_input(idx) if skip is None else cache.gapped(skip)
+        taps, shifts = _taps(weights[:, low:])
+        d_taps, grads[2 * idx + 1] = _conv_param_grads(xs, ds, shifts, pad)
+        if idx:  # nothing reads the mixtures' gradient
+            _conv_input_grad(xs, taps, ds, shifts, pad)
+            if skip is not None or stride == 1:  # the skip's first part, or conv idx - 1's only reader's
+                d_outs[idx - 1 if skip is None else skip] = xs
+            else:  # a down conv's output, whose skip part came first
+                _window(d_outs[idx - 1], pad)[:, :, ::2] += _window(xs, pad)
+        del xs
+        if skip is not None:  # the two-phase part: ds is released before the lower input is copied
+            w_taps, a = _taps(weights[:, :low])[0], acts[idx - 1]
+            d_phases = np.zeros((2 * len(ds),) + a.shape[1:2] + (a.shape[2] + 2 * pad,))
+            _window(d_phases, pad).reshape((2, -1) + a.shape[1:])[:] = _phases(_window(ds, pad))
+            ds = None
+            xs = cache.conv_input(idx)
+            d_taps = np.concatenate([_two_phase_grads(xs, d_phases, w_taps, a, pad), d_taps], axis=2)
+            d_outs[idx - 1] = xs
+            del xs, a, d_phases
+        grads[2 * idx] = np.ascontiguousarray(d_taps.transpose(1, 2, 0))
+        ds = None  # before the next conv's input is built
+    cache.mixtures = None
     return grads  # type: ignore[return-value]
 
 

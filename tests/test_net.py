@@ -16,13 +16,15 @@ from hypersep.errors import (
 )
 from hypersep.net import (
     NetConfig,
+    _add_two_phase,
     _conv_forward,
     _conv_input_grad,
     _conv_param_grads,
     _layer_plan,
     _leaky,
+    _taps,
+    _two_phase_grads,
     _upsample,
-    _upsample_backward,
     backward_batch,
     collect_filter_banks,
     forward,
@@ -195,13 +197,50 @@ def gapped(x):
 
 
 def conv_forward(x, w, b):
-    return _conv_forward(gapped(x), w, b, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
+    return _conv_forward(gapped(x), *_taps(w), PAD, b)[:, :, PAD:-PAD].transpose(1, 0, 2)
 
 
 def conv_backward(x, w, d):
-    xs, ds = gapped(x), gapped(d)
-    d_weights, d_bias = _conv_param_grads(xs, w, ds, PAD)
-    return d_weights, d_bias, _conv_input_grad(xs, w, ds, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
+    (xs, ds), (taps, shifts) = (gapped(x), gapped(d)), _taps(w)
+    d_taps, d_bias = _conv_param_grads(xs, ds, shifts, PAD)
+    d_input = _conv_input_grad(xs, taps, ds, shifts, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
+    return d_taps.transpose(1, 2, 0), d_bias, d_input
+
+
+# An up conv reads a (B, C_low, L) lower input a at the low rate and a (B, C_out, 2L)
+# skip s; its weights' first C_low input channels read a, the rest s.
+def up_conv_forward(a, s, w, b):
+    low = a.shape[1]
+    ys = _conv_forward(gapped(s), *_taps(w[:, low:]), PAD, b)
+    _add_two_phase(ys, gapped(a), _taps(w[:, :low])[0], PAD)
+    return ys[:, :, PAD:-PAD].transpose(1, 0, 2)
+
+
+def up_conv_backward(a, s, w, d):
+    """(d_weights, d_bias, d_a, d_s) as backward_batch takes them, given d_out d."""
+    low = a.shape[1]
+    d_skip, d_bias, d_s = conv_backward(s, w[:, low:], d)
+    d_phases = np.zeros((2 * w.shape[0], len(a), a.shape[2] + 2 * PAD))
+    d_phases[: w.shape[0], :, PAD:-PAD] = d[:, :, 0::2].transpose(1, 0, 2)
+    d_phases[w.shape[0] :, :, PAD:-PAD] = d[:, :, 1::2].transpose(1, 0, 2)
+    xs, w_taps = gapped(a), _taps(w[:, :low])[0]
+    d_low = _two_phase_grads(xs, d_phases, w_taps, a.transpose(1, 0, 2), PAD).transpose(1, 2, 0)
+    return np.concatenate([d_low, d_skip], axis=1), d_bias, xs[:, :, PAD:-PAD].transpose(1, 0, 2), d_s
+
+
+def up_reference(a, s, w, b):
+    """One window, _upsample then conv_oracle, on (C, T) arrays."""
+    up = np.empty((len(a), 2 * a.shape[1]))
+    _upsample(a, up)
+    return conv_oracle(np.concatenate([up, s]), w, b)
+
+
+def random_up_conv(kernel, low_len, seed, batch=3, c_low=3, c_out=2):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((batch, c_low, low_len))
+    s = rng.standard_normal((batch, c_out, 2 * low_len))
+    w = rng.standard_normal((c_out, c_low + c_out, kernel))
+    return rng, a, s, w
 
 
 def random_conv(shape, seed):
@@ -264,17 +303,47 @@ class TestConvAndResampling:
         _upsample(x, out)
         np.testing.assert_array_equal(out[0, 0], [1.0, 1.5, 2.0, 2.5, 3.0, 3.0])
 
-    def test_upsample_backward_is_adjoint(self):
-        """<up(x), g> == <x, up_backward(g)> since upsampling is linear."""
-        rng = np.random.default_rng(73)
-        x = rng.standard_normal((2, 3, 8))
-        g = rng.standard_normal((2, 3, 16))
-        up, up_adjoint = np.empty_like(g), np.empty_like(x)
-        _upsample(x, up)
-        lhs = float(np.sum(up * g))
-        _upsample_backward(g, up_adjoint)  # halves g's odd columns, so after lhs
-        rhs = float(np.sum(x * up_adjoint))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+    # Low-rate lengths 1 and 2 put every output within p + 1 of a window's edge.
+    UP_CASES = [(kernel, low_len) for kernel in (1, 3, 5) for low_len in (1, 2, 9)]
+
+    @pytest.mark.parametrize("kernel, low_len", UP_CASES)
+    @pytest.mark.parametrize("block", [None, 4], ids=["block", "block4"])
+    def test_up_conv_matches_loop_oracle(self, kernel, low_len, block, monkeypatch):
+        """Output and input gradients of the two-phase up conv against _upsample then conv_oracle, window by
+        window; the gradient oracle is the loop correlation with flipped, transposed taps, then the adjoint of
+        the upsampling matrix."""
+        if block:
+            monkeypatch.setattr(net_module, "_BLOCK", block)
+        rng, a, s, w = random_up_conv(kernel, low_len, 83)
+        b = rng.standard_normal(w.shape[0])
+        d = rng.standard_normal((len(a), w.shape[0], 2 * low_len))
+        y = up_conv_forward(a, s, w, b)
+        _, _, d_a, d_s = up_conv_backward(a, s, w, d)
+        upsampling = np.empty((low_len, 2 * low_len))
+        _upsample(np.eye(low_len), upsampling)  # row i is _upsample of the i-th unit sample
+        flipped = w.transpose(1, 0, 2)[:, :, ::-1]
+        for i in range(len(a)):
+            np.testing.assert_allclose(y[i], up_reference(a[i], s[i], w, b), rtol=1e-12)
+            d_in = conv_oracle(d[i], flipped, np.zeros(w.shape[1]))
+            np.testing.assert_allclose(d_s[i], d_in[a.shape[1] :], rtol=1e-12)
+            np.testing.assert_allclose(d_a[i], d_in[: a.shape[1]] @ upsampling.T, rtol=1e-12)
+
+    @pytest.mark.parametrize("kernel, low_len", UP_CASES)
+    def test_up_conv_backward_is_adjoint(self, kernel, low_len):
+        """<conv(x), g> == <x, conv^T(g)> in the lower input, the skip and the weights."""
+        rng, a, s, w = random_up_conv(kernel, low_len, 84)
+        d = rng.standard_normal((len(a), w.shape[0], 2 * low_len))
+        u, v, omega = rng.standard_normal(a.shape), rng.standard_normal(s.shape), rng.standard_normal(w.shape)
+        d_weights, d_bias, d_a, d_s = up_conv_backward(a, s, w, d)
+        zero = np.zeros(w.shape[0])
+
+        def pair(low, skip, weights):
+            return sum(float(np.sum(d[i] * up_reference(low[i], skip[i], weights, zero))) for i in range(len(d)))
+
+        assert pair(u, np.zeros_like(s), w) == pytest.approx(float(np.sum(d_a * u)), rel=1e-12)
+        assert pair(np.zeros_like(a), v, w) == pytest.approx(float(np.sum(d_s * v)), rel=1e-12)
+        assert pair(a, s, omega) == pytest.approx(float(np.sum(d_weights * omega)), rel=1e-12)
+        np.testing.assert_array_equal(d_bias, d.sum(axis=(0, 2)))
 
 
 class TestForward:
@@ -362,14 +431,15 @@ class TestBackward:
             assert g.shape == p.shape
 
     def test_no_input_gradient_for_the_first_conv(self, monkeypatch):
-        """One tap loop per conv but the first: nothing reads the mixture's gradient."""
+        """One input-gradient tap loop per conv but the first, and one more per up conv, for its skip:
+        nothing reads the mixture's gradient, so no loop writes its single channel."""
         net = init_net(tiny_config(seed=11))
         vocals, cache = forward_batch(net, np.random.default_rng(79).uniform(-1, 1, (2, 16)))
-        calls = []
-        loop = net_module._shifted_sum
-        monkeypatch.setattr(net_module, "_shifted_sum", lambda *a, **k: calls.append(1) or loop(*a, **k))
+        rows, loop = [], net_module._shifted_sum
+        monkeypatch.setattr(net_module, "_shifted_sum", lambda out, *a: rows.append(len(out)) or loop(out, *a))
         backward_batch(net, cache, np.ones_like(vocals))
-        assert len(calls) == len(net.layers) - 1
+        assert len(rows) == len(net.layers) - 1 + sum(layer.role == "up" for layer in net.layers)
+        assert 1 not in rows
 
     @pytest.mark.parametrize(
         "config",
@@ -400,6 +470,20 @@ class TestBackward:
             # Entries that cancel to near zero are held to 1e-12 of the largest.
             np.testing.assert_allclose(g, total, rtol=1e-12, atol=1e-12 * np.abs(total).max())
 
+    def test_no_pass_upsamples(self, monkeypatch):
+        """Up convs read their lower input at the low rate in both passes: nothing builds it upsampled."""
+
+        def refuse(*args):
+            raise AssertionError("a pass upsampled at the full rate")
+
+        monkeypatch.setattr(net_module, "_upsample", refuse)
+        monkeypatch.setattr(net_module, "_upsample_backward", refuse, raising=False)
+        config = NetConfig(depth=3, base_features=8, input_len=1024, seed=0)
+        net = init_net(config)
+        vocals, cache = forward_batch(net, np.random.default_rng(85).uniform(-1, 1, (8, config.input_len)))
+        grads = backward_batch(net, cache, np.ones_like(vocals))
+        assert all(np.all(np.isfinite(g)) for g in grads)
+
     def test_cotangent_shape_checked(self):
         net = init_net(tiny_config())
         vocals, cache = forward_batch(net, np.zeros((2, 16)))
@@ -419,6 +503,11 @@ class TestBackward:
             backward_batch(net, cache, np.ones_like(vocals))
         with pytest.raises(ConsumedCache, match="already consumed"):
             cache.vocals
+        for idx in range(len(net.layers)):
+            with pytest.raises(ConsumedCache, match="already consumed"):
+                cache.conv_input(idx)
+        with pytest.raises(ConsumedCache, match="already consumed"):
+            cache.conv_inputs
         assert np.array_equal(vocals, kept)
 
     @pytest.mark.parametrize(
@@ -442,6 +531,24 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert backward_peak <= 1.25 * forward_peak, f"backward {backward_peak} B, forward {forward_peak} B"
+
+
+    def test_paper_backward_peak_over_the_cache(self):
+        """On the paper config, backward's traced peak stays within 1.6x of the bytes the cache holds when
+        forward returns: no pass builds an up conv's upsampled or concatenated input (1.75x when both did)."""
+        config = NetConfig()
+        net = init_net(config)
+        mixtures = np.random.default_rng(82).uniform(-1, 1, (4, config.input_len))
+        tracemalloc.start()
+        try:
+            vocals, cache = forward_batch(net, mixtures)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward_batch(net, cache, np.ones_like(vocals))
+            backward_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert backward_peak <= 1.6 * held, f"backward {backward_peak} B, cache {held} B"
 
 
 class TestFilterBanks:
