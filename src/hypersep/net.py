@@ -18,7 +18,8 @@ skip conv of the encoder activation plus a two-phase conv of its low-rate
 lower input, whose taps give the even and odd outputs (_phase_taps), with two
 edge fixes per window. The forward cache keeps each conv's (C, B, T) output
 only; backward reads the LeakyReLU slope off it (act > 0 exactly when pre > 0)
-and releases it.
+and releases it. An inference pass (keep=False) keeps none but the vocals: it
+releases each output once the last conv that reads it has run.
 """
 
 import json
@@ -136,8 +137,8 @@ def _conv_plan(layers: list[ConvLayer]) -> list[tuple[int, int | None, int, bool
 
 @dataclass
 class ForwardCache:
-    """A batch's mixtures, its gap width, each conv's plan, and the (C, B, T) output of every conv so far; backward
-    sets each to None once read."""
+    """A batch's mixtures, its gap width, each conv's plan, and the (C, B, T) output of every conv so far; backward,
+    or an inference forward, sets each to None once read for the last time."""
 
     plan: list[tuple[int, int | None, int, bool]]
     mixtures: np.ndarray | None
@@ -259,16 +260,20 @@ def _conv_forward(xs: np.ndarray, taps: np.ndarray, shifts: list[int], pad: int,
     return ys
 
 
-def _conv_param_grads(xs: np.ndarray, ds: np.ndarray, shifts: list[int], pad: int) -> tuple[np.ndarray, ...]:
-    """(d_taps, d_bias) of _conv_forward given d_out in a gapped buffer with zero gaps."""
+def _conv_param_grads(xs: np.ndarray, ds: np.ndarray, shifts: list[int], pad: int) -> np.ndarray:
+    """d_taps of _conv_forward given d_out in a gapped buffer with zero gaps."""
     x2, d2 = xs.reshape(len(xs), -1), ds.reshape(len(ds), -1)
     n = x2.shape[1] - 2 * pad
     # Output column j reads input column j + s; ds's zero gaps keep every window's gradient out of its neighbours.
     d_taps = np.empty((len(shifts), len(ds), len(xs)))
     for k, s in enumerate(shifts):
         np.matmul(d2[:, pad : pad + n], x2[:, pad + s : pad + s + n].T, out=d_taps[k])
-    # Window by window, as numpy sums a (B, C_out, T) array over (0, 2).
-    return d_taps, sum(d.sum(axis=1) for d in _window(ds, pad).transpose(1, 0, 2))
+    return d_taps
+
+
+def _bias_grad(ds: np.ndarray, pad: int) -> np.ndarray:
+    """d_bias of _conv_forward given d_out in a gapped buffer; window by window, as numpy sums (B, C, T) over (0, 2)."""
+    return sum(d.sum(axis=1) for d in _window(ds, pad).transpose(1, 0, 2))
 
 
 def _conv_input_grad(xs: np.ndarray, taps: np.ndarray, ds: np.ndarray, shifts: list[int], pad: int) -> np.ndarray:
@@ -322,7 +327,7 @@ def _two_phase_grads(xs: np.ndarray, d_phases: np.ndarray, w_taps: np.ndarray, a
     """d_w_taps of _add_two_phase given its d_out's _phases in a gapped buffer, d_phases, and the (C_low, B, L)
     low-rate a; d_a is written over xs, a's gapped copy, once read."""
     taps, shifts, m = _phase_taps(w_taps)
-    d_taps = _conv_param_grads(xs, d_phases, shifts, pad)[0].reshape(len(shifts), 2, *w_taps.shape[1:])
+    d_taps = _conv_param_grads(xs, d_phases, shifts, pad).reshape(len(shifts), 2, *w_taps.shape[1:])
     d_w_taps = np.tensordot(m, d_taps, axes=([0, 2], [1, 0]))  # the adjoint of taps[s, r] = sum_k M[r, k, s] w[k]
     d_a = _window(_conv_input_grad(xs, taps, d_phases, shifts, pad), pad)
     cols, ks, src, weight = _edges(len(w_taps), 2 * a.shape[2])
@@ -346,13 +351,19 @@ def _upsample(x: np.ndarray, out: np.ndarray) -> None:
     out[..., -1] = x[..., -1]
 
 
-def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run a (B, input_len) batch; returns vocal estimates and the cache."""
+def forward_batch(net: SepNet, mixtures: np.ndarray, *, keep: bool = True) -> tuple[np.ndarray, ForwardCache]:
+    """Run a (B, input_len) batch; returns vocal estimates and the cache that backward_batch reads.
+
+    With keep=False (inference) each conv's output is dropped once the last conv that reads it has run, so only
+    the previous output and the pending skips are held; the cache comes back consumed, with the vocals alone.
+    """
     mixtures = np.asarray(mixtures, dtype=np.float64)
     if mixtures.ndim != 2 or mixtures.shape[1] != net.config.input_len:
         raise ShapeMismatch(f"expected batch shape (B, {net.config.input_len}), got {mixtures.shape}")
     pad = (max(net.config.down_kernel, net.config.up_kernel, 3) - 1) // 2
     cache = ForwardCache(_conv_plan(net.layers), mixtures, pad)
+    # The last conv to read each output: the next one or, if later, the up conv that takes it as its skip.
+    last = {i: idx for idx, (_, skip, _, _) in enumerate(cache.plan) for i in (idx - 1, skip) if i is not None}
     for idx, (layer, (_, skip, low, leaky)) in enumerate(zip(net.layers, cache.plan)):
         # The full-rate part: the whole conv, or an up conv's skip conv; then the up conv's two-phase part.
         xs = cache.conv_input(idx) if skip is None else cache.gapped(skip)
@@ -362,6 +373,9 @@ def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, Forwar
             _add_two_phase(ys, cache.conv_input(idx), _taps(layer.weights[:, :low])[0], pad)
         cache.activations.append((_leaky if leaky else np.tanh)(_window(ys, pad)))
         del ys  # before the next conv's input is built
+        if not keep:
+            for i in [i for i in range(idx) if last[i] == idx]:
+                cache.activations[i] = None
     return cache.vocals, cache
 
 
@@ -390,7 +404,7 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> li
         # The full-rate part, as in forward_batch.
         xs = cache.conv_input(idx) if skip is None else cache.gapped(skip)
         taps, shifts = _taps(weights[:, low:])
-        d_taps, grads[2 * idx + 1] = _conv_param_grads(xs, ds, shifts, pad)
+        d_taps, grads[2 * idx + 1] = _conv_param_grads(xs, ds, shifts, pad), _bias_grad(ds, pad)
         if idx:  # nothing reads the mixtures' gradient
             _conv_input_grad(xs, taps, ds, shifts, pad)
             if skip is not None or stride == 1:  # the skip's first part, or conv idx - 1's only reader's
@@ -418,7 +432,7 @@ def forward(net: SepNet, mixture: np.ndarray) -> SepOutput:
     mixture = np.asarray(mixture, dtype=np.float64)
     if mixture.ndim != 1:
         raise ShapeMismatch(f"mixture must be 1-D, got shape {mixture.shape}")
-    v = forward_batch(net, mixture[None, :])[0][0]
+    v = forward_batch(net, mixture[None, :], keep=False)[0][0]
     return SepOutput(v, mixture - v)
 
 
@@ -455,7 +469,8 @@ def separate_signal(net: SepNet, mixture: np.ndarray, batch_size: int = 8) -> tu
     windows = np.zeros(-(-total // win) * win)
     windows[:total] = mixture
     windows = windows.reshape(-1, win)
-    parts = [forward_batch(net, windows[start : start + batch_size])[0] for start in range(0, len(windows), batch_size)]
+    parts = [forward_batch(net, windows[start : start + batch_size], keep=False)[0]
+             for start in range(0, len(windows), batch_size)]
     vocals = np.concatenate(parts).reshape(-1)[:total]
     return vocals, mixture - vocals
 

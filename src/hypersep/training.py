@@ -27,6 +27,9 @@ from .net import NetConfig, SepNet, backward_batch, collect_filter_banks, forwar
 
 LAMBDA_MODES = ("half_inv_L", "inv_L", "one", "custom", "off")
 
+# Samples per chunk of a training batch: compute_loss runs max(1, _CHUNK // input_len) windows at a time.
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class FinetuneConfig:
@@ -160,6 +163,13 @@ def compute_loss(
     batch is (mixtures, target_vocals), both (B, input_len). Gradients are
     interleaved [d_weights, d_bias, ...] in net.parameters() order, with
     the energy gradients already added into the conv weight slots.
+
+    The batch runs in chunks of at most _CHUNK samples (one window at
+    least), each through forward_batch and backward_batch before the next
+    starts, so a step holds one chunk's activations whatever B is. The
+    chunks' squared errors and gradients are summed, the latter into the
+    first chunk's arrays; a batch that fits one chunk runs as one call of
+    each.
     """
     mixtures, targets = batch
     mixtures = np.asarray(mixtures, dtype=np.float64)
@@ -168,11 +178,15 @@ def compute_loss(
         raise ShapeMismatch(f"mixtures {mixtures.shape} vs targets {targets.shape}")
     if mixtures.ndim != 2 or mixtures.shape[0] < 1:
         raise ShapeMismatch(f"batch must be non-empty (B, T), got {mixtures.shape}")
-    vocals, cache = forward_batch(net, mixtures)
-    err = vocals - targets
-    mse = float(np.mean(err * err))
-    d_vocals = (2.0 / err.size) * err
-    grads = backward_batch(net, cache, d_vocals)
+    grads, squares, chunk = None, 0.0, max(1, _CHUNK // mixtures.shape[1])
+    for start in range(0, len(mixtures), chunk):
+        vocals, cache = forward_batch(net, mixtures[start : start + chunk])
+        err = vocals - targets[start : start + chunk]
+        squares += float(np.sum(err * err))
+        part = backward_batch(net, cache, (2.0 / mixtures.size) * err)
+        grads = part if grads is None else [np.add(g, p, out=g) for g, p in zip(grads, part)]
+        del vocals, cache, err, part  # before the next chunk's forward
+    mse = squares / mixtures.size
     if cfg.lambda_mode == "off":
         return mse, mse, 0.0, grads
     banks = collect_filter_banks(net)
@@ -280,7 +294,7 @@ def validation_mse(net: SepNet, songs, batch_size: int) -> float:
         mix = song.mixture[:usable].reshape(n_win, window)
         voc = song.vocals[:usable].reshape(n_win, window)
         for start in range(0, n_win, batch_size):
-            est = forward_batch(net, mix[start : start + batch_size])[0]  # drop the cache at once
+            est = forward_batch(net, mix[start : start + batch_size], keep=False)[0]  # drop the cache at once
             diff = est - voc[start : start + batch_size]
             total_sq += float(np.sum(diff * diff))
             total_n += diff.size

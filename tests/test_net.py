@@ -17,6 +17,7 @@ from hypersep.errors import (
 from hypersep.net import (
     NetConfig,
     _add_two_phase,
+    _bias_grad,
     _conv_forward,
     _conv_input_grad,
     _conv_param_grads,
@@ -202,7 +203,7 @@ def conv_forward(x, w, b):
 
 def conv_backward(x, w, d):
     (xs, ds), (taps, shifts) = (gapped(x), gapped(d)), _taps(w)
-    d_taps, d_bias = _conv_param_grads(xs, ds, shifts, PAD)
+    d_taps, d_bias = _conv_param_grads(xs, ds, shifts, PAD), _bias_grad(ds, PAD)
     d_input = _conv_input_grad(xs, taps, ds, shifts, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
     return d_taps.transpose(1, 2, 0), d_bias, d_input
 
@@ -390,6 +391,42 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert retained <= outputs + 64 * 1024, f"{retained} bytes retained, conv outputs take {outputs}"
+
+    @pytest.mark.parametrize(
+        "config",
+        [NetConfig(depth=3, base_features=8, input_len=1024, seed=0),
+         NetConfig(depth=4, base_features=4, input_len=16384, seed=0)],
+        ids=["acceptance7", "depth4"],
+    )
+    def test_inference_keeps_only_the_vocals(self, config):
+        """keep=False gives the vocals of keep=True bit for bit and releases every other conv output,
+        so backward refuses its cache."""
+        net = init_net(config)
+        mixtures = np.random.default_rng(83).uniform(-1, 1, (8, config.input_len))
+        kept = forward_batch(net, mixtures)[0]
+        vocals, cache = forward_batch(net, mixtures, keep=False)
+        assert np.array_equal(vocals, kept)
+        assert len(cache.activations) == len(net.layers)
+        assert all(act is None for act in cache.activations[:-1])
+        with pytest.raises(ConsumedCache, match="already consumed"):
+            backward_batch(net, cache, np.ones_like(vocals))
+
+    def test_inference_peak_below_the_cached_forward(self):
+        """Dropping each output after its last reader cuts a depth-4 forward's traced peak (T=16384, B=8) to
+        0.90 of keep=True's; the bottleneck conv's stacked column block, held with the four encoder outputs,
+        then sets it."""
+        config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
+        net = init_net(config)
+        mixtures = np.random.default_rng(84).uniform(-1, 1, (8, config.input_len))
+        peaks = []
+        for keep in (True, False):
+            tracemalloc.start()
+            try:
+                forward_batch(net, mixtures, keep=keep)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.92 * peaks[0], f"keep=False {peaks[1]} B, keep=True {peaks[0]} B"
 
     def test_wrong_length_rejected(self):
         net = init_net(tiny_config())

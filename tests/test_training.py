@@ -365,6 +365,38 @@ class TestComputeLoss:
         err = oracles.max_relative_error(analytic, fd)
         assert err < 1e-4, f"mode {mode}: rel err {err:.3e}"
 
+    @pytest.mark.parametrize("chunk, windows, sizes", [(32, 5, [2, 2, 1]), (8, 3, [1, 1, 1]), (32, 1, [1])],
+                             ids=["ragged", "window_over_chunk", "one_window"])
+    def test_chunks_sum_to_the_whole_batch(self, chunk, windows, sizes, monkeypatch):
+        """A batch run in chunks of at most _CHUNK samples, at least one window each, gives the loss and
+        gradients of one whole-batch forward and backward pass."""
+        net = tiny_net(seed=2)
+        rng = np.random.default_rng(87)
+        batch = (rng.uniform(-1, 1, (windows, 16)), rng.uniform(-0.5, 0.5, (windows, 16)))
+        vocals, cache = training.forward_batch(net, batch[0])
+        err = vocals - batch[1]
+        mse = float(np.mean(err * err))
+        expected = training.backward_batch(net, cache, (2.0 / err.size) * err)
+        seen, run = [], training.forward_batch
+        monkeypatch.setattr(training, "forward_batch", lambda *args: seen.append(len(args[1])) or run(*args))
+        monkeypatch.setattr(training, "_CHUNK", chunk)
+        loss, got_mse, _, grads = compute_loss(net, batch, tiny_cfg(lambda_mode="off"))
+        assert seen == sizes
+        assert abs(loss - mse) <= 1e-15 * mse and got_mse == loss
+        for g, e in zip(grads, expected):
+            assert np.abs(g - e).max() <= 1e-15 * np.abs(e).max()
+
+    def test_peak_does_not_grow_with_the_batch(self):
+        """Each chunk's cache is gone before the next chunk runs: a 3-chunk batch peaks as a 1-chunk one does."""
+        window = training._CHUNK // 2
+        net = tiny_net(seed=2, input_len=window)
+        rng = np.random.default_rng(88)
+        mixtures, targets = rng.uniform(-1, 1, (6, window)), rng.uniform(-0.5, 0.5, (6, window))
+        cfg = tiny_cfg(lambda_mode="off")
+        one = traced_peak(lambda: compute_loss(net, (mixtures[:2], targets[:2]), cfg))
+        three = traced_peak(lambda: compute_loss(net, (mixtures, targets), cfg))
+        assert three <= 1.15 * one, f"3 chunks {three} B, 1 chunk {one} B"
+
     def test_bad_batches_rejected(self):
         net = tiny_net()
         cfg = tiny_cfg()
