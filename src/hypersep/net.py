@@ -18,8 +18,8 @@ skip conv of the encoder activation plus a two-phase conv of its low-rate
 lower input, whose taps give the even and odd outputs (_phase_taps), with two
 edge fixes per window. The forward cache keeps each conv's (C, B, T) output
 only; backward reads the LeakyReLU slope off it (act > 0 exactly when pre > 0)
-and releases it. An inference pass (keep=False) keeps none but the vocals: it
-releases each output once the last conv that reads it has run.
+and releases it. Every pass over many windows, training or inference, calls
+forward_batch on _windows_per_call of them at a time, whatever its batch size.
 """
 
 import json
@@ -36,6 +36,9 @@ LEAKY_SLOPE = 0.3
 
 # Columns per block of a conv's tap sum.
 _BLOCK = 4096
+
+# Samples per forward_batch call of a pass over many windows (_windows_per_call).
+_CHUNK = 1 << 16
 
 GROWTH_MODES = ("double", "add_base")
 
@@ -137,8 +140,8 @@ def _conv_plan(layers: list[ConvLayer]) -> list[tuple[int, int | None, int, bool
 
 @dataclass
 class ForwardCache:
-    """A batch's mixtures, its gap width, each conv's plan, and the (C, B, T) output of every conv so far; backward,
-    or an inference forward, sets each to None once read for the last time."""
+    """A batch's mixtures, its gap width, each conv's plan, and the (C, B, T) output of every conv so far; backward
+    sets each to None once read for the last time."""
 
     plan: list[tuple[int, int | None, int, bool]]
     mixtures: np.ndarray | None
@@ -351,19 +354,19 @@ def _upsample(x: np.ndarray, out: np.ndarray) -> None:
     out[..., -1] = x[..., -1]
 
 
-def forward_batch(net: SepNet, mixtures: np.ndarray, *, keep: bool = True) -> tuple[np.ndarray, ForwardCache]:
-    """Run a (B, input_len) batch; returns vocal estimates and the cache that backward_batch reads.
+def _windows_per_call(batch: int, input_len: int) -> int:
+    """Windows per forward_batch call of a pass over batch windows of input_len samples (a training step,
+    validation or separation): at most _CHUNK samples, but one window at least and batch at most."""
+    return min(batch, max(1, _CHUNK // input_len))
 
-    With keep=False (inference) each conv's output is dropped once the last conv that reads it has run, so only
-    the previous output and the pending skips are held; the cache comes back consumed, with the vocals alone.
-    """
+
+def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Run a (B, input_len) batch, B from _windows_per_call in every pass; returns vocals and backward_batch's cache."""
     mixtures = np.asarray(mixtures, dtype=np.float64)
     if mixtures.ndim != 2 or mixtures.shape[1] != net.config.input_len:
         raise ShapeMismatch(f"expected batch shape (B, {net.config.input_len}), got {mixtures.shape}")
     pad = (max(net.config.down_kernel, net.config.up_kernel, 3) - 1) // 2
     cache = ForwardCache(_conv_plan(net.layers), mixtures, pad)
-    # The last conv to read each output: the next one or, if later, the up conv that takes it as its skip.
-    last = {i: idx for idx, (_, skip, _, _) in enumerate(cache.plan) for i in (idx - 1, skip) if i is not None}
     for idx, (layer, (_, skip, low, leaky)) in enumerate(zip(net.layers, cache.plan)):
         # The full-rate part: the whole conv, or an up conv's skip conv; then the up conv's two-phase part.
         xs = cache.conv_input(idx) if skip is None else cache.gapped(skip)
@@ -373,9 +376,6 @@ def forward_batch(net: SepNet, mixtures: np.ndarray, *, keep: bool = True) -> tu
             _add_two_phase(ys, cache.conv_input(idx), _taps(layer.weights[:, :low])[0], pad)
         cache.activations.append((_leaky if leaky else np.tanh)(_window(ys, pad)))
         del ys  # before the next conv's input is built
-        if not keep:
-            for i in [i for i in range(idx) if last[i] == idx]:
-                cache.activations[i] = None
     return cache.vocals, cache
 
 
@@ -432,7 +432,7 @@ def forward(net: SepNet, mixture: np.ndarray) -> SepOutput:
     mixture = np.asarray(mixture, dtype=np.float64)
     if mixture.ndim != 1:
         raise ShapeMismatch(f"mixture must be 1-D, got shape {mixture.shape}")
-    v = forward_batch(net, mixture[None, :], keep=False)[0][0]
+    v = forward_batch(net, mixture[None, :])[0][0]
     return SepOutput(v, mixture - v)
 
 
@@ -456,9 +456,9 @@ def collect_filter_banks(net: SepNet) -> list[FilterBank]:
 def separate_signal(net: SepNet, mixture: np.ndarray, batch_size: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Separate an arbitrary-length mono signal window by window.
 
-    The signal is processed in consecutive config.input_len windows, the
-    tail zero-padded and cropped back. Accompaniment is mixture - vocals
-    over the whole signal.
+    Consecutive config.input_len windows, the tail zero-padded and cropped
+    back, run _windows_per_call(batch_size, input_len) per forward_batch
+    call. Accompaniment is mixture - vocals over the whole signal.
     """
     if isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer)) or batch_size < 1:
         raise InvalidConfig(f"batch_size must be an int >= 1, got {batch_size!r}")
@@ -469,8 +469,8 @@ def separate_signal(net: SepNet, mixture: np.ndarray, batch_size: int = 8) -> tu
     windows = np.zeros(-(-total // win) * win)
     windows[:total] = mixture
     windows = windows.reshape(-1, win)
-    parts = [forward_batch(net, windows[start : start + batch_size], keep=False)[0]
-             for start in range(0, len(windows), batch_size)]
+    step = _windows_per_call(batch_size, win)
+    parts = [forward_batch(net, windows[start : start + step])[0] for start in range(0, len(windows), step)]
     vocals = np.concatenate(parts).reshape(-1)[:total]
     return vocals, mixture - vocals
 

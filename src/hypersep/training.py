@@ -23,12 +23,9 @@ import numpy as np
 from .energy import MheConfig, mhe_penalty
 from .errors import Diverged, EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch, check_fields
 from .fileio import write_csv_rows
-from .net import NetConfig, SepNet, backward_batch, collect_filter_banks, forward_batch
+from .net import NetConfig, SepNet, _windows_per_call, backward_batch, collect_filter_banks, forward_batch
 
 LAMBDA_MODES = ("half_inv_L", "inv_L", "one", "custom", "off")
-
-# Samples per chunk of a training batch: compute_loss runs max(1, _CHUNK // input_len) windows at a time.
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,8 @@ def compute_loss(
     interleaved [d_weights, d_bias, ...] in net.parameters() order, with
     the energy gradients already added into the conv weight slots.
 
-    The batch runs in chunks of at most _CHUNK samples (one window at
-    least), each through forward_batch and backward_batch before the next
+    The batch runs in chunks of net._windows_per_call(B, input_len)
+    windows, each through forward_batch and backward_batch before the next
     starts, so a step holds one chunk's activations whatever B is. The
     chunks' squared errors and gradients are summed, the latter into the
     first chunk's arrays; a batch that fits one chunk runs as one call of
@@ -178,7 +175,7 @@ def compute_loss(
         raise ShapeMismatch(f"mixtures {mixtures.shape} vs targets {targets.shape}")
     if mixtures.ndim != 2 or mixtures.shape[0] < 1:
         raise ShapeMismatch(f"batch must be non-empty (B, T), got {mixtures.shape}")
-    grads, squares, chunk = None, 0.0, max(1, _CHUNK // mixtures.shape[1])
+    grads, squares, chunk = None, 0.0, _windows_per_call(len(mixtures), mixtures.shape[1])
     for start in range(0, len(mixtures), chunk):
         vocals, cache = forward_batch(net, mixtures[start : start + chunk])
         err = vocals - targets[start : start + chunk]
@@ -284,8 +281,10 @@ def _sample_batch(songs, cfg: TrainConfig, window: int, rng_sample, rng_aug):
 
 
 def validation_mse(net: SepNet, songs, batch_size: int) -> float:
-    """Mean squared vocal error over consecutive windows of every song."""
+    """Mean squared vocal error over consecutive windows of every song, _windows_per_call(batch_size,
+    input_len) windows per forward_batch call, so fine-tuning's doubled batch_size costs no more memory."""
     window = net.config.input_len
+    step = _windows_per_call(batch_size, window)
     total_sq = 0.0
     total_n = 0
     for song in songs:
@@ -293,9 +292,9 @@ def validation_mse(net: SepNet, songs, batch_size: int) -> float:
         usable = n_win * window
         mix = song.mixture[:usable].reshape(n_win, window)
         voc = song.vocals[:usable].reshape(n_win, window)
-        for start in range(0, n_win, batch_size):
-            est = forward_batch(net, mix[start : start + batch_size], keep=False)[0]  # drop the cache at once
-            diff = est - voc[start : start + batch_size]
+        for start in range(0, n_win, step):
+            est = forward_batch(net, mix[start : start + step])[0]  # drop the cache at once
+            diff = est - voc[start : start + step]
             total_sq += float(np.sum(diff * diff))
             total_n += diff.size
     if total_n == 0:

@@ -392,42 +392,6 @@ class TestForward:
             tracemalloc.stop()
         assert retained <= outputs + 64 * 1024, f"{retained} bytes retained, conv outputs take {outputs}"
 
-    @pytest.mark.parametrize(
-        "config",
-        [NetConfig(depth=3, base_features=8, input_len=1024, seed=0),
-         NetConfig(depth=4, base_features=4, input_len=16384, seed=0)],
-        ids=["acceptance7", "depth4"],
-    )
-    def test_inference_keeps_only_the_vocals(self, config):
-        """keep=False gives the vocals of keep=True bit for bit and releases every other conv output,
-        so backward refuses its cache."""
-        net = init_net(config)
-        mixtures = np.random.default_rng(83).uniform(-1, 1, (8, config.input_len))
-        kept = forward_batch(net, mixtures)[0]
-        vocals, cache = forward_batch(net, mixtures, keep=False)
-        assert np.array_equal(vocals, kept)
-        assert len(cache.activations) == len(net.layers)
-        assert all(act is None for act in cache.activations[:-1])
-        with pytest.raises(ConsumedCache, match="already consumed"):
-            backward_batch(net, cache, np.ones_like(vocals))
-
-    def test_inference_peak_below_the_cached_forward(self):
-        """Dropping each output after its last reader cuts a depth-4 forward's traced peak (T=16384, B=8) to
-        0.90 of keep=True's; the bottleneck conv's stacked column block, held with the four encoder outputs,
-        then sets it."""
-        config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
-        net = init_net(config)
-        mixtures = np.random.default_rng(84).uniform(-1, 1, (8, config.input_len))
-        peaks = []
-        for keep in (True, False):
-            tracemalloc.start()
-            try:
-                forward_batch(net, mixtures, keep=keep)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= 0.92 * peaks[0], f"keep=False {peaks[1]} B, keep=True {peaks[0]} B"
-
     def test_wrong_length_rejected(self):
         net = init_net(tiny_config())
         with pytest.raises(ShapeMismatch):
@@ -632,6 +596,38 @@ class TestSeparateSignal:
         # so agreement is to rounding, not bitwise
         first_window = forward(net, mixture[:16])
         np.testing.assert_allclose(vocals[:16], first_window.vocals, rtol=0, atol=1e-12)
+
+    def test_chunks_give_their_forward_batch_vocals(self, monkeypatch):
+        """At T=16384 a chunk is 4 windows, so 10 windows and a tail run as calls of 4, 4 and 3 at the default
+        batch_size of 8, and the vocals are those calls' bit for bit."""
+        config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
+        net = init_net(config)
+        mixture = np.random.default_rng(90).uniform(-1, 1, 10 * config.input_len + 100)
+        windows = np.zeros((11, config.input_len))
+        windows.reshape(-1)[: mixture.size] = mixture
+        expected = np.concatenate([forward_batch(net, windows[s : s + 4])[0] for s in (0, 4, 8)])
+        seen, run = [], net_module.forward_batch
+        monkeypatch.setattr(net_module, "forward_batch", lambda *args: seen.append(len(args[1])) or run(*args))
+        vocals, _ = separate_signal(net, mixture)
+        assert seen == [4, 4, 3]
+        assert np.array_equal(vocals, expected.reshape(-1)[: mixture.size])
+
+    def test_peak_is_one_chunks_forward(self):
+        """An 8-window signal at the default batch_size of 8 peaks as one 4-window chunk's forward pass does
+        (T=16384): the signal-sized arrays separate_signal holds add 5% here."""
+        config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
+        net = init_net(config)
+        mixture = np.random.default_rng(91).uniform(-1, 1, 8 * config.input_len)
+        peaks = []
+        for run in (lambda: forward_batch(net, mixture[: 4 * config.input_len].reshape(4, -1)),
+                    lambda: separate_signal(net, mixture)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], f"separation {peaks[1]} B, one chunk's forward {peaks[0]} B"
 
     @pytest.mark.parametrize("batch_size", [0, -1, 2.5, "2", True])
     def test_batch_size_not_a_positive_int_rejected(self, batch_size):

@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from hypersep import training
+from hypersep import net as net_module, training
 from hypersep.energy import MheConfig, mhe_penalty
 from hypersep.errors import Diverged, EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch
 from hypersep.net import NetConfig, collect_filter_banks, init_net
@@ -379,7 +379,7 @@ class TestComputeLoss:
         expected = training.backward_batch(net, cache, (2.0 / err.size) * err)
         seen, run = [], training.forward_batch
         monkeypatch.setattr(training, "forward_batch", lambda *args: seen.append(len(args[1])) or run(*args))
-        monkeypatch.setattr(training, "_CHUNK", chunk)
+        monkeypatch.setattr(net_module, "_CHUNK", chunk)
         loss, got_mse, _, grads = compute_loss(net, batch, tiny_cfg(lambda_mode="off"))
         assert seen == sizes
         assert abs(loss - mse) <= 1e-15 * mse and got_mse == loss
@@ -388,7 +388,7 @@ class TestComputeLoss:
 
     def test_peak_does_not_grow_with_the_batch(self):
         """Each chunk's cache is gone before the next chunk runs: a 3-chunk batch peaks as a 1-chunk one does."""
-        window = training._CHUNK // 2
+        window = net_module._CHUNK // 2
         net = tiny_net(seed=2, input_len=window)
         rng = np.random.default_rng(88)
         mixtures, targets = rng.uniform(-1, 1, (6, window)), rng.uniform(-0.5, 0.5, (6, window))
@@ -497,12 +497,15 @@ class TestTrainLoop:
 
 class TestValidationMse:
     def test_peak_is_one_forward_pass(self):
-        """No batch's cache outlives its MSE: over 3 batches, the traced peak is that of one forward pass."""
-        net = init_net(NetConfig(depth=3, base_features=8, input_len=1024, seed=0))
-        song = make_song(np.random.default_rng(89), 3 * 8 * 1024)
-        forward_peak = traced_peak(lambda: training.forward_batch(net, song.mixture[: 8 * 1024].reshape(8, 1024)))
-        validation_peak = traced_peak(lambda: validation_mse(net, [song], batch_size=8))
-        assert validation_peak <= 1.1 * forward_peak, f"validation {validation_peak} B, forward {forward_peak} B"
+        """No call's cache outlives its MSE, and a call holds one chunk: the traced peak is that of one chunk's
+        forward pass, 8 windows at T=1024 over 3 batches of 8, and 4 at T=16384 over one batch of 32."""
+        for config, windows, batch_size, chunk in [(NetConfig(depth=3, base_features=8, input_len=1024), 24, 8, 8),
+                                                   (NetConfig(depth=4, base_features=4, input_len=16384), 32, 32, 4)]:
+            net, t = init_net(config), config.input_len
+            song = make_song(np.random.default_rng(89), windows * t)
+            forward_peak = traced_peak(lambda: training.forward_batch(net, song.mixture[: chunk * t].reshape(chunk, t)))
+            validation_peak = traced_peak(lambda: validation_mse(net, [song], batch_size=batch_size))
+            assert validation_peak <= 1.1 * forward_peak, f"T={t}: validation {validation_peak} B, one chunk {forward_peak} B"
 
 
 class TestDivergence:
