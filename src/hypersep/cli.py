@@ -11,14 +11,12 @@ error (bad files, invalid configs, diverged training, failed contracts).
 
 import argparse
 import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from .dataset import generate_dataset, load_manifest, load_split
 from .energy import MheConfig, normalized_layer_energy
-from .errors import Diverged, EmptyDataset, HypersepError, InvalidConfig, IoError
-from .fileio import write_atomic
+from .errors import Diverged, EmptyDataset, HypersepError
+from .fileio import read_json_object, write_atomic
 from .net import collect_filter_banks, init_net, load_checkpoint, save_checkpoint
 from .sdr import evaluate_songs
 from .thomson import minimize_energy, reference_energy, shape_for_points
@@ -44,20 +42,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_json(path, what: str) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read {what} {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise InvalidConfig(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InvalidConfig(f"{what} {path} must hold a JSON object")
-    return data
-
-
 def _cmd_gen_data(args) -> int:
     manifest = generate_dataset(args.songs, args.seconds, args.rate, args.seed, args.out)
     sizes = {name: len(names) for name, names in manifest.splits.items()}
@@ -67,7 +51,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    raw = _read_json(args.config, "config")
+    raw = read_json_object(args.config, "config")
     net_cfg = net_config_from_dict(raw.pop("net", {}))
     cfg = train_config_from_dict(raw)
     data = load_split(load_manifest(args.data))
@@ -145,7 +129,7 @@ def _cmd_thomson(args) -> int:
 def _cmd_energy_inspect(args) -> int:
     net = load_checkpoint(args.ckpt)
     config = MheConfig() if args.mhe_config is None else mhe_config_from_dict(
-        _read_json(args.mhe_config, "mhe config")
+        read_json_object(args.mhe_config, "mhe config")
     )
     banks = collect_filter_banks(net)
     lines = ["layer_id,n_filters,dim,normalized_energy,clamped_pairs"]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, IoError, LengthMismatch
-from .fileio import write_atomic
+from .fileio import read_json_object, write_atomic
 from .wavio import quantize_pcm16, read_wav, write_wav
 
 MANIFEST_FORMAT = "hypersep-dataset-v1"
@@ -215,14 +215,7 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if path.is_dir():
         path = path / MANIFEST_NAME
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InvalidConfig(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise InvalidConfig(f"{path}: a manifest must hold a JSON object")
+    payload = read_json_object(path, "manifest")
     if payload.get("format") != MANIFEST_FORMAT:
         raise InvalidConfig(f"{path}: unknown manifest format {payload.get('format')!r}")
     try:

@@ -1,11 +1,27 @@
-"""Atomic file output: a file appears under its final name whole or not at all."""
+"""File I/O: atomic output, where a file appears under its final name whole or not at all, and JSON object input."""
 
 import csv
 import io
+import json
 import os
 from pathlib import Path
 
-from .errors import IoError
+from .errors import InvalidConfig, IoError
+
+
+def read_json_object(path, what: str) -> dict:
+    """Parse the JSON object in the file at path; IoError if it cannot be read, InvalidConfig if it is not one."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise IoError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise InvalidConfig(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InvalidConfig(f"{what} {path} must hold a JSON object")
+    return data
 
 
 def write_atomic(path, data: bytes) -> None:

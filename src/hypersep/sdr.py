@@ -143,14 +143,9 @@ def aggregate(
         total += len(all_values)
         if not all_values:
             continue
-        med_of_med = float(np.median(medians))
-        song_level[source] = SourceStats(
-            len(means),
-            float(np.mean(means)),
-            med_of_med,
-            float(np.std(means)),
-            float(np.median(np.abs(np.asarray(medians) - med_of_med))),
-        )
+        mean, _, sd, _ = _stats(means)
+        _, med, _, mad = _stats(medians)
+        song_level[source] = SourceStats(len(means), mean, med, sd, mad)
         p_mean, p_med, p_sd, p_mad = _stats(all_values)
         pooled[source] = SourceStats(len(all_values), p_mean, p_med, p_sd, p_mad)
     if total == 0:
@@ -158,11 +153,11 @@ def aggregate(
     return SdrReport(songs, song_level, pooled, dict(silent_segments or {}))
 
 
-def evaluate_songs(net: SepNet, songs, silence_rms: float = SILENCE_RMS) -> SdrReport:
+def evaluate_songs(net: SepNet, songs) -> SdrReport:
     """Separate each song and score both sources segment by segment.
 
     Songs shorter than one second contribute no segments; silent reference
-    segments (RMS below silence_rms) are counted per source but kept in
+    segments (RMS below SILENCE_RMS) are counted per source but kept in
     all statistics.
     """
     per_song: dict[str, dict[str, list[float]]] = {src: {} for src in SOURCES}
@@ -177,7 +172,7 @@ def evaluate_songs(net: SepNet, songs, silence_rms: float = SILENCE_RMS) -> SdrR
             values = []
             for ref, est in zip(ref_frames, est_frames):
                 values.append(segment_sdr(ref, est))
-                if float(np.sqrt(np.mean(ref * ref))) < silence_rms:
+                if float(np.sqrt(np.mean(ref * ref))) < SILENCE_RMS:
                     silent[source] += 1
             per_song[source][song.name] = values
     return aggregate(per_song, silent)

@@ -1,9 +1,11 @@
-"""Source hygiene: no module-level import that the module never uses."""
+"""Source hygiene: no module-level import that the module never uses, and no export that the package lacks."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import hypersep
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted([*(ROOT / "src" / "hypersep").glob("*.py"), *(ROOT / "tests").glob("*.py")])
@@ -36,3 +38,8 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_export_exists():
+    """A name left in __all__ after its definition is deleted breaks `from hypersep import *`."""
+    assert [name for name in hypersep.__all__ if not hasattr(hypersep, name)] == []

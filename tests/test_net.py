@@ -28,7 +28,6 @@ from hypersep.net import (
     _upsample,
     backward_batch,
     collect_filter_banks,
-    forward,
     forward_batch,
     init_net,
     load_checkpoint,
@@ -352,29 +351,29 @@ class TestForward:
         net = init_net(tiny_config(seed=5))
         rng = np.random.default_rng(74)
         mixture = rng.uniform(-1.0, 1.0, 16)
-        out = forward(net, mixture)
-        assert out.vocals.shape == mixture.shape
-        assert np.all(np.abs(out.vocals) < 1.0)
+        vocals, accompaniment = separate_signal(net, mixture)
+        assert vocals.shape == mixture.shape
+        assert np.all(np.abs(vocals) < 1.0)
         # accompaniment is bit-exactly the float subtraction, so the pair
         # reconstructs the mixture to within one rounding of the add-back
-        assert np.array_equal(out.accompaniment, mixture - out.vocals)
-        np.testing.assert_allclose(out.vocals + out.accompaniment, mixture, rtol=0, atol=2.3e-16)
+        assert np.array_equal(accompaniment, mixture - vocals)
+        np.testing.assert_allclose(vocals + accompaniment, mixture, rtol=0, atol=2.3e-16)
 
     def test_zero_output_layer_passes_mixture_through(self):
         net = init_net(tiny_config(seed=5))
         net.layers[-1].weights[:] = 0.0
         net.layers[-1].bias[:] = 0.0
         mixture = np.random.default_rng(75).uniform(-1, 1, 16)
-        out = forward(net, mixture)
-        assert np.array_equal(out.vocals, np.zeros(16))
-        assert np.array_equal(out.accompaniment, mixture)
+        vocals, accompaniment = separate_signal(net, mixture)
+        assert np.array_equal(vocals, np.zeros(16))
+        assert np.array_equal(accompaniment, mixture)
 
     def test_forward_is_deterministic(self):
         net = init_net(tiny_config(seed=6))
         mixture = np.random.default_rng(76).uniform(-1, 1, 16)
-        a = forward(net, mixture)
-        b = forward(net, mixture)
-        assert np.array_equal(a.vocals, b.vocals)
+        a, _ = separate_signal(net, mixture)
+        b, _ = separate_signal(net, mixture)
+        assert np.array_equal(a, b)
 
     def test_cache_retains_only_the_conv_outputs(self):
         config = NetConfig(depth=3, base_features=8, input_len=1024, seed=0)
@@ -394,8 +393,6 @@ class TestForward:
 
     def test_wrong_length_rejected(self):
         net = init_net(tiny_config())
-        with pytest.raises(ShapeMismatch):
-            forward(net, np.zeros(17))
         with pytest.raises(ShapeMismatch):
             forward_batch(net, np.zeros((2, 8)))
 
@@ -594,12 +591,12 @@ class TestSeparateSignal:
         assert np.array_equal(acc, mixture - vocals)
         # batched and single-window runs reorder the BLAS accumulations,
         # so agreement is to rounding, not bitwise
-        first_window = forward(net, mixture[:16])
-        np.testing.assert_allclose(vocals[:16], first_window.vocals, rtol=0, atol=1e-12)
+        first_window = forward_batch(net, mixture[None, :16])[0][0]
+        np.testing.assert_allclose(vocals[:16], first_window, rtol=0, atol=1e-12)
 
     def test_chunks_give_their_forward_batch_vocals(self, monkeypatch):
-        """At T=16384 a chunk is 4 windows, so 10 windows and a tail run as calls of 4, 4 and 3 at the default
-        batch_size of 8, and the vocals are those calls' bit for bit."""
+        """At T=16384 a chunk is 4 windows, so 10 windows and a tail run as calls of 4, 4 and 3 (separation asks
+        for 8 windows per call), and the vocals are those calls' bit for bit."""
         config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
         net = init_net(config)
         mixture = np.random.default_rng(90).uniform(-1, 1, 10 * config.input_len + 100)
@@ -613,7 +610,7 @@ class TestSeparateSignal:
         assert np.array_equal(vocals, expected.reshape(-1)[: mixture.size])
 
     def test_peak_is_one_chunks_forward(self):
-        """An 8-window signal at the default batch_size of 8 peaks as one 4-window chunk's forward pass does
+        """An 8-window signal, one separation batch, peaks as one 4-window chunk's forward pass does
         (T=16384): the signal-sized arrays separate_signal holds add 5% here."""
         config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
         net = init_net(config)
@@ -628,12 +625,6 @@ class TestSeparateSignal:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], f"separation {peaks[1]} B, one chunk's forward {peaks[0]} B"
-
-    @pytest.mark.parametrize("batch_size", [0, -1, 2.5, "2", True])
-    def test_batch_size_not_a_positive_int_rejected(self, batch_size):
-        net = init_net(tiny_config())
-        with pytest.raises(InvalidConfig, match="batch_size"):
-            separate_signal(net, np.zeros(40), batch_size=batch_size)
 
     def test_empty_signal_rejected(self):
         net = init_net(tiny_config())
