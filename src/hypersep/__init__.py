@@ -39,7 +39,6 @@ from .training import (
     FinetuneConfig,
     TrainConfig,
     TrainResult,
-    finetune,
     net_config_from_dict,
     resolve_lambda,
     train,
@@ -69,7 +68,6 @@ __all__ = [
     "build_manifest_from_dir",
     "collect_filter_banks",
     "evaluate_songs",
-    "finetune",
     "forward_batch",
     "generate_dataset",
     "init_net",

@@ -10,20 +10,17 @@ error (bad files, invalid configs, diverged training, failed contracts).
 """
 
 import argparse
-import dataclasses
 import sys
 
 from .dataset import generate_dataset, load_manifest, load_split
 from .energy import MheConfig, normalized_layer_energy
-from .errors import Diverged, EmptyDataset, HypersepError
+from .errors import Diverged, EmptyDataset, HypersepError, InvalidConfig
 from .fileio import read_json_object, write_atomic
 from .net import collect_filter_banks, init_net, load_checkpoint, save_checkpoint
 from .sdr import evaluate_songs
 from .thomson import minimize_energy, reference_energy, shape_for_points
 from .training import (
-    EpochRecord,
     TrainLog,
-    finetune,
     mhe_config_from_dict,
     net_config_from_dict,
     train,
@@ -50,48 +47,43 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _load_data(path, net_cfg):
+    """Every split of the manifest at path; a song at another sample rate than the net's raises InvalidConfig."""
+    data = load_split(load_manifest(path))
+    for song in data.train + data.validation + data.test:
+        if song.sample_rate != net_cfg.sample_rate:
+            raise InvalidConfig(
+                f"song {song.name} is sampled at {song.sample_rate} Hz but the net at {net_cfg.sample_rate} Hz"
+            )
+    return data
+
+
 def _cmd_train(args) -> int:
     raw = read_json_object(args.config, "config")
     net_cfg = net_config_from_dict(raw.pop("net", {}))
     cfg = train_config_from_dict(raw)
-    data = load_split(load_manifest(args.data))
-    net = init_net(net_cfg)
-
-    records: list[EpochRecord] = []
+    data = _load_data(args.data, net_cfg)
+    log = TrainLog()
     try:
-        result = train(net, data, cfg)
-        _append_phase(records, result.log.records)
-        best = result.net
+        result = train(init_net(net_cfg), data, cfg)
+        log = result.log
         print(f"training: best epoch {result.best_epoch}, validation loss {result.best_val_loss:.6e}")
-
-        if cfg.finetune.enabled:
-            ft = finetune(best, data, cfg)
-            _append_phase(records, ft.log.records)
-            best = ft.net
-            print(f"finetune: best epoch {ft.best_epoch}, validation loss {ft.best_val_loss:.6e}")
-
-        save_checkpoint(best, args.out)
+        save_checkpoint(result.net, args.out)
         print(f"checkpoint written to {args.out}")
     except Diverged as exc:
-        _append_phase(records, exc.records)
+        log = TrainLog(exc.records)
         raise
     finally:
         # Also on failure: the log then holds the epochs that completed.
         if args.log:
-            TrainLog(records).write_csv(args.log)
+            log.write_csv(args.log)
             print(f"log written to {args.log}")
     return 0
 
 
-def _append_phase(records: list[EpochRecord], phase: list[EpochRecord]) -> None:
-    """Append one phase's epochs, numbered on from the last epoch so far."""
-    offset = records[-1].epoch if records else 0
-    records += [dataclasses.replace(r, epoch=r.epoch + offset) for r in phase]
-
-
 def _cmd_evaluate(args) -> int:
     net = load_checkpoint(args.ckpt)
-    data = load_split(load_manifest(args.data))
+    data = _load_data(args.data, net.config)
     songs = data.test or data.validation
     split_name = "test" if data.test else "validation"
     if not songs:

@@ -74,10 +74,10 @@ class MheConfig:
         return f"{self.space}/{self.distance}/s{self.s_power}"
 
 
-def all_configs(clamp_epsilon: float = 1e-12) -> list[MheConfig]:
+def all_configs() -> list[MheConfig]:
     """All 12 (space, distance, s_power) combinations."""
     return [
-        MheConfig(space, distance, s, clamp_epsilon)
+        MheConfig(space, distance, s)
         for space in SPACES
         for distance in DISTANCES
         for s in S_POWERS

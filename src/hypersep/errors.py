@@ -97,7 +97,7 @@ class Diverged(HypersepError):
         self.epoch = epoch
         self.iteration = iteration
         self.layer_id = layer_id
-        self.records: list = []  # the diverged phase's completed epochs, once attached
+        self.records: list = []  # train attaches every epoch completed before it, numbered as in its log
         where = f"epoch {epoch}" if iteration is None else f"epoch {epoch}, iteration {iteration}"
         super().__init__(f"training diverged at {where}: {what} is not finite")
 

@@ -40,10 +40,10 @@ _BLOCK = 4096
 # Samples per forward_batch call of a pass over many windows (_windows_per_call).
 _CHUNK = 1 << 16
 
-# The batch separate_signal asks _windows_per_call for. Traced on the acceptance-7 net, a 6-s song peaks at 7.7 MiB
-# at 8 windows per call, as a B=8 training step does, but at 13.9, 25.3 and 30.0 MiB at 16, 32 and 64, so a larger
-# value would raise the small training run's peak RSS.
-_SEPARATION_BATCH = 8
+# The batch both inference passes, separate_signal and validation, ask _windows_per_call for. Traced on the
+# acceptance-7 net, separating a 6-s song peaks at 7.7 MiB at 8 windows per call, as a B=8 training step does, but at
+# 13.9, 25.3 and 30.0 MiB at 16, 32 and 64, so a larger value would raise the small training run's peak RSS.
+_INFERENCE_BATCH = 8
 
 GROWTH_MODES = ("double", "add_base")
 
@@ -445,7 +445,7 @@ def separate_signal(net: SepNet, mixture: np.ndarray) -> tuple[np.ndarray, np.nd
     """Separate an arbitrary-length mono signal window by window.
 
     Consecutive config.input_len windows, the tail zero-padded and cropped
-    back, run _windows_per_call(_SEPARATION_BATCH, input_len) per
+    back, run _windows_per_call(_INFERENCE_BATCH, input_len) per
     forward_batch call. Accompaniment is mixture - vocals over the whole signal.
     """
     mixture = np.asarray(mixture, dtype=np.float64)
@@ -455,7 +455,7 @@ def separate_signal(net: SepNet, mixture: np.ndarray) -> tuple[np.ndarray, np.nd
     windows = np.zeros(-(-total // win) * win)
     windows[:total] = mixture
     windows = windows.reshape(-1, win)
-    step = _windows_per_call(_SEPARATION_BATCH, win)
+    step = _windows_per_call(_INFERENCE_BATCH, win)
     parts = [forward_batch(net, windows[start : start + step])[0] for start in range(0, len(windows), step)]
     vocals = np.concatenate(parts).reshape(-1)[:total]
     return vocals, mixture - vocals

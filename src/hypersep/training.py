@@ -5,10 +5,10 @@ crops, augmenting each crop by attenuating the vocals with a uniform factor
 and resynthesizing the mixture; after every epoch (a fixed iteration count)
 the full validation split is scored and training stops once the validation
 loss (MSE plus penalty) has not improved for `patience_epochs` epochs. Phase
-two (fine-tuning) runs the same loop from the best phase-one parameters, scored
-first as epoch 0, with the batch size doubled, a much smaller learning rate,
-and a fresh optimizer state, keeping whichever checkpoint scores best overall.
-A non-finite loss or parameter raises Diverged at once.
+two (fine-tuning) runs the same loop from the best phase-one parameters, with
+the batch size doubled, a much smaller learning rate and a fresh optimizer
+state; it must beat phase one's best validation loss, and the best checkpoint
+over both phases is kept. A non-finite loss or parameter raises Diverged at once.
 
 Everything is driven by one master seed: sampling and augmentation get
 independent child streams, and the stream consumption per iteration is
@@ -23,7 +23,8 @@ import numpy as np
 from .energy import MheConfig, mhe_penalty
 from .errors import Diverged, EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch, check_fields
 from .fileio import write_csv_rows
-from .net import NetConfig, SepNet, _windows_per_call, backward_batch, collect_filter_banks, forward_batch
+from .net import (_INFERENCE_BATCH, NetConfig, SepNet, _windows_per_call, backward_batch, collect_filter_banks,
+                  forward_batch)
 
 LAMBDA_MODES = ("half_inv_L", "inv_L", "one", "custom", "off")
 
@@ -184,7 +185,7 @@ def compute_loss(
         grads = part if grads is None else [np.add(g, p, out=g) for g, p in zip(grads, part)]
         del vocals, cache, err, part  # before the next chunk's forward
     mse = squares / mixtures.size
-    if cfg.lambda_mode == "off":
+    if cfg.lambda_mode == "off":  # before the banks: collect_filter_banks checks every weight
         return mse, mse, 0.0, grads
     banks = collect_filter_banks(net)
     lam = resolve_lambda(cfg, len(banks))
@@ -237,14 +238,15 @@ class TrainResult:
 class EarlyStopper:
     """Tracks the best validation loss; stops after `patience` flat epochs.
 
-    Improvement is strict. With the best at epoch b, training stops once
-    epoch - b >= patience, so a run whose loss last improved at epoch 5
-    with patience 10 trains through epoch 15 and then halts.
+    Improvement is strict, over best_loss to start with. With the best at
+    epoch b (0 if none), training stops once epoch - b >= patience, so a
+    run whose loss last improved at epoch 5 with patience 10 trains
+    through epoch 15 and then halts.
     """
 
-    def __init__(self, patience: int):
+    def __init__(self, patience: int, best_loss: float = np.inf):
         self.patience = patience
-        self.best_loss = np.inf
+        self.best_loss = best_loss
         self.best_epoch = 0
 
     def observe(self, epoch: int, loss: float) -> bool:
@@ -280,11 +282,11 @@ def _sample_batch(songs, cfg: TrainConfig, window: int, rng_sample, rng_aug):
     return mixtures, targets
 
 
-def validation_mse(net: SepNet, songs, batch_size: int) -> float:
-    """Mean squared vocal error over consecutive windows of every song, _windows_per_call(batch_size,
-    input_len) windows per forward_batch call, so fine-tuning's doubled batch_size costs no more memory."""
+def validation_mse(net: SepNet, songs) -> float:
+    """Mean squared vocal error over consecutive windows of every song, _windows_per_call(_INFERENCE_BATCH,
+    input_len) windows per forward_batch call as in separate_signal, so the score is the same at any batch size."""
     window = net.config.input_len
-    step = _windows_per_call(batch_size, window)
+    step = _windows_per_call(_INFERENCE_BATCH, window)
     total_sq = 0.0
     total_n = 0
     for song in songs:
@@ -304,7 +306,7 @@ def validation_mse(net: SepNet, songs, batch_size: int) -> float:
 
 def _validation_loss(net: SepNet, val_songs, cfg: TrainConfig, lam: float, epoch: int) -> tuple[float, float]:
     """Validation MSE and the current penalty, whose sum drives early stopping."""
-    val = validation_mse(net, val_songs, cfg.batch_size)
+    val = validation_mse(net, val_songs)
     penalty = mhe_penalty(collect_filter_banks(net), cfg.mhe, lam)[0] if lam else 0.0
     if not np.isfinite(val + penalty):
         raise Diverged(epoch, None, None, "the validation loss")
@@ -320,10 +322,61 @@ def _check_finite(loss: float, params: list[np.ndarray], epoch: int, iteration: 
             raise Diverged(epoch, iteration, i // 2, f"layer {i // 2} {('weights', 'bias')[i % 2]}")
 
 
-def _run_training(
-    net: SepNet, dataset, cfg: TrainConfig, seed_seq: np.random.SeedSequence, score_start: bool
-) -> TrainResult:
-    """The epoch loop of both phases; score_start scores the input and keeps it as epoch 0."""
+def _run_phase(net: SepNet, train_songs, val_songs, cfg: TrainConfig, seed_seq, lam: float, best: TrainResult):
+    """One phase's epoch loop on net with a fresh Adam state, its epochs numbered on from the last in best.log
+    and appended there. An epoch becomes the best only by beating best.best_val_loss, and patience counts from
+    the phase's first epoch; returns the best result so far, best itself if no epoch beat it."""
+    window = net.config.input_len
+    child = seed_seq.spawn(2)
+    rng_sample = np.random.default_rng(child[0])
+    rng_aug = np.random.default_rng(child[1])
+    params = net.parameters()
+    state = AdamState.for_params(params)
+    stopper = EarlyStopper(cfg.patience_epochs, best.best_val_loss)
+    records = best.log.records
+    offset = records[-1].epoch if records else 0
+    epoch = 0  # within the phase; the log's number is offset + epoch
+    while cfg.max_epochs is None or epoch < cfg.max_epochs:
+        epoch += 1
+        started = time.perf_counter()
+        mse_sum = 0.0
+        for iteration in range(1, cfg.iterations_per_epoch + 1):
+            batch = _sample_batch(train_songs, cfg, window, rng_sample, rng_aug)
+            loss, mse, _, grads = compute_loss(net, batch, cfg)
+            adam_step(params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
+            _check_finite(loss, params, offset + epoch, iteration)
+            mse_sum += mse
+        val, penalty_now = _validation_loss(net, val_songs, cfg, lam, offset + epoch)
+        val_loss = val + penalty_now
+        records.append(
+            EpochRecord(
+                offset + epoch,
+                mse_sum / cfg.iterations_per_epoch,
+                penalty_now,
+                val_loss,
+                lam,
+                time.perf_counter() - started,
+                val,
+            )
+        )
+        if stopper.observe(epoch, val_loss):
+            best = TrainResult(net.clone(), best.log, offset + epoch, val_loss)
+        if stopper.should_stop(epoch):
+            break
+    return best
+
+
+def train(net: SepNet, dataset, cfg: TrainConfig) -> TrainResult:
+    """Train from the given parameters: phase one until patience runs out, then, with cfg.finetune.enabled,
+    phase two from phase one's best checkpoint.
+
+    `dataset` must expose .train and .validation lists of songs (objects
+    with .mixture, .vocals, .accompaniment arrays). The returned result
+    carries the best-validation checkpoint of both phases and one log whose
+    phase-two epochs number on from phase one's; `net` itself is left at
+    its final (not necessarily best) phase-one state. A Diverged carries
+    the epochs completed before it in .records.
+    """
     window = net.config.input_len
     train_songs = _eligible(dataset.train, window)
     val_songs = _eligible(dataset.validation, window)
@@ -331,88 +384,20 @@ def _run_training(
         raise EmptyDataset(f"no training song reaches the {window}-sample window")
     if not val_songs:
         raise EmptyDataset(f"no validation song reaches the {window}-sample window")
-
-    child = seed_seq.spawn(2)
-    rng_sample = np.random.default_rng(child[0])
-    rng_aug = np.random.default_rng(child[1])
-
-    params = net.parameters()
-    state = AdamState.for_params(params)
     lam = resolve_lambda(cfg, len(collect_filter_banks(net)))
-
-    stopper = EarlyStopper(cfg.patience_epochs)
-    if score_start:
-        stopper.observe(0, sum(_validation_loss(net, val_songs, cfg, lam, 0)))
-    best_net = net.clone()
-
-    records: list[EpochRecord] = []
-    epoch = 0
+    best = TrainResult(net.clone(), TrainLog(), 0, np.inf)
     try:
-        while cfg.max_epochs is None or epoch < cfg.max_epochs:
-            epoch += 1
-            started = time.perf_counter()
-            mse_sum = 0.0
-            for iteration in range(1, cfg.iterations_per_epoch + 1):
-                batch = _sample_batch(train_songs, cfg, window, rng_sample, rng_aug)
-                loss, mse, _, grads = compute_loss(net, batch, cfg)
-                adam_step(params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
-                _check_finite(loss, params, epoch, iteration)
-                mse_sum += mse
-            val, penalty_now = _validation_loss(net, val_songs, cfg, lam, epoch)
-            val_loss = val + penalty_now
-            records.append(
-                EpochRecord(
-                    epoch,
-                    mse_sum / cfg.iterations_per_epoch,
-                    penalty_now,
-                    val_loss,
-                    lam,
-                    time.perf_counter() - started,
-                    val,
-                )
-            )
-            if stopper.observe(epoch, val_loss):
-                best_net = net.clone()
-            if stopper.should_stop(epoch):
-                break
+        best = _run_phase(net, train_songs, val_songs, cfg, np.random.SeedSequence(cfg.seed), lam, best)
+        if cfg.finetune.enabled:
+            ft = cfg.finetune
+            phase_two = replace(cfg, batch_size=cfg.batch_size * ft.batch_multiplier,
+                                learning_rate=ft.learning_rate, max_epochs=ft.max_epochs)
+            seed_seq = np.random.SeedSequence([cfg.seed, 1])
+            best = _run_phase(best.net.clone(), train_songs, val_songs, phase_two, seed_seq, lam, best)
     except Diverged as exc:
-        exc.records = records  # the epochs completed before it, for the caller's log
+        exc.records = best.log.records
         raise
-    return TrainResult(best_net, TrainLog(records), stopper.best_epoch, stopper.best_loss)
-
-
-def train(net: SepNet, dataset, cfg: TrainConfig) -> TrainResult:
-    """Phase one: train from the given parameters until patience runs out.
-
-    `dataset` must expose .train and .validation lists of songs (objects
-    with .mixture, .vocals, .accompaniment arrays). The returned result
-    carries the best-validation checkpoint; `net` itself is left at its
-    final (not necessarily best) state.
-    """
-    return _run_training(net, dataset, cfg, np.random.SeedSequence(cfg.seed), score_start=False)
-
-
-def derive_finetune_config(cfg: TrainConfig) -> TrainConfig:
-    """Phase-two config: batch doubled (by multiplier), small learning rate."""
-    return replace(
-        cfg,
-        batch_size=cfg.batch_size * cfg.finetune.batch_multiplier,
-        learning_rate=cfg.finetune.learning_rate,
-        max_epochs=cfg.finetune.max_epochs,
-    )
-
-
-def finetune(best: SepNet, dataset, cfg: TrainConfig) -> TrainResult:
-    """Phase two: continue from a trained checkpoint with fresh Adam state.
-
-    The incoming checkpoint is scored at the phase-two batch size and kept
-    as epoch 0, so the result is never worse than its input; with
-    max_epochs=0 in finetune config the input comes back unchanged. `best`
-    itself is not modified.
-    """
-    return _run_training(
-        best.clone(), dataset, derive_finetune_config(cfg), np.random.SeedSequence([cfg.seed, 1]), score_start=True
-    )
+    return best
 
 
 def _from_mapping(cls, data, context: str):

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypersep import cli as cli_module
 from hypersep.cli import build_parser, cli
 from hypersep.dataset import load_manifest
 from hypersep.errors import CorruptHeader, HypersepError
-from hypersep.net import load_checkpoint
+from hypersep.net import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -203,7 +204,7 @@ class TestPipeline:
         rc = self._train(pipeline, tmp_path, patience_epochs=5, max_epochs=2,
                          finetune={"enabled": True, "max_epochs": 2})
         assert rc == 0
-        assert "finetune: best epoch" in capsys.readouterr().out
+        assert capsys.readouterr().out.count("best epoch") == 1
         rows = (tmp_path / "log.csv").read_text().strip().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == [1, 2, 3, 4]
 
@@ -219,10 +220,29 @@ class TestPipeline:
             rc = self._train(pipeline, tmp_path, patience_epochs=5, max_epochs=2,
                              finetune={"enabled": True, "learning_rate": 1e200, "max_epochs": 2})
         assert rc == 2
-        assert "training diverged at epoch 1, iteration 2" in capsys.readouterr().err
+        assert "training diverged at epoch 3, iteration 2" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
         rows = (tmp_path / "log.csv").read_text().strip().splitlines()[1:]
         assert [int(row.split(",")[0]) for row in rows] == [1, 2]
+
+    def test_train_rejects_songs_at_another_sample_rate(self, pipeline, tmp_path, capsys):
+        cfg = json.loads(pipeline["config"].read_text())
+        rc = self._train(pipeline, tmp_path, net={**cfg["net"], "sample_rate": 8000})
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "4000 Hz" in err and "8000 Hz" in err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    def test_evaluate_rejects_songs_at_another_sample_rate(self, pipeline, tmp_path, capsys):
+        net = load_checkpoint(pipeline["ckpt"])
+        ckpt = tmp_path / "net8k.ckpt"
+        save_checkpoint(replace(net, config=replace(net.config, sample_rate=8000)), ckpt)
+        rc = cli(["evaluate", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
+                  "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "4000 Hz" in err and "8000 Hz" in err
+        assert not (tmp_path / "r.csv").exists()
 
 
 def _merged(base: dict, overrides: dict) -> dict:

@@ -20,8 +20,6 @@ from hypersep.training import (
     adam_step,
     augment,
     compute_loss,
-    derive_finetune_config,
-    finetune,
     net_config_from_dict,
     resolve_lambda,
     train,
@@ -484,9 +482,19 @@ class TestTrainLoop:
         net = tiny_net(seed=7)
         data = make_split(seed=4)
         cfg = tiny_cfg(max_epochs=3, iterations_per_epoch=12)
-        baseline = validation_mse(net, data.validation, cfg.batch_size)
+        baseline = validation_mse(net, data.validation)
         result = train(net, data, cfg)
         assert result.log.records[-1].val_mse < baseline
+
+    @pytest.mark.parametrize("net_seed, data_seed", [(4, 1), (9, 6)])
+    def test_best_val_loss_is_the_returned_nets_score(self, net_seed, data_seed):
+        """Phase two starts from phase one's best_val_loss, which must equal a fresh score of the returned net."""
+        data = make_split(seed=data_seed)
+        cfg = tiny_cfg()
+        result = phase_one(tiny_net(seed=net_seed), data, cfg)
+        banks = collect_filter_banks(result.net)
+        penalty = mhe_penalty(banks, cfg.mhe, resolve_lambda(cfg, len(banks)))[0]
+        assert result.best_val_loss == validation_mse(result.net, data.validation) + penalty
 
     def test_short_songs_raise_empty_dataset(self):
         rng = np.random.default_rng(88)
@@ -498,13 +506,13 @@ class TestTrainLoop:
 class TestValidationMse:
     def test_peak_is_one_forward_pass(self):
         """No call's cache outlives its MSE, and a call holds one chunk: the traced peak is that of one chunk's
-        forward pass, 8 windows at T=1024 over 3 batches of 8, and 4 at T=16384 over one batch of 32."""
-        for config, windows, batch_size, chunk in [(NetConfig(depth=3, base_features=8, input_len=1024), 24, 8, 8),
-                                                   (NetConfig(depth=4, base_features=4, input_len=16384), 32, 32, 4)]:
+        forward pass, 8 windows at T=1024 over a 24-window song, and 4 at T=16384 over a 32-window song."""
+        for config, windows, chunk in [(NetConfig(depth=3, base_features=8, input_len=1024), 24, 8),
+                                       (NetConfig(depth=4, base_features=4, input_len=16384), 32, 4)]:
             net, t = init_net(config), config.input_len
             song = make_song(np.random.default_rng(89), windows * t)
             forward_peak = traced_peak(lambda: training.forward_batch(net, song.mixture[: chunk * t].reshape(chunk, t)))
-            validation_peak = traced_peak(lambda: validation_mse(net, [song], batch_size=batch_size))
+            validation_peak = traced_peak(lambda: validation_mse(net, [song]))
             assert validation_peak <= 1.1 * forward_peak, f"T={t}: validation {validation_peak} B, one chunk {forward_peak} B"
 
 
@@ -528,6 +536,14 @@ class TestDivergence:
             train(tiny_net(seed=4), make_split(seed=1), tiny_cfg())
         assert (info.value.epoch, info.value.iteration, info.value.layer_id) == (1, 1, 1)
 
+    def test_phase_two_divergence_carries_phase_one_epochs(self):
+        """Phase two numbers its epochs on from phase one's, in the error and in its records."""
+        cfg = tiny_cfg(patience_epochs=5, max_epochs=2, finetune=FinetuneConfig(max_epochs=2, learning_rate=1e200))
+        with pytest.raises(Diverged, match="at epoch 3, iteration") as info, np.errstate(over="ignore", invalid="ignore"):
+            train(tiny_net(seed=4), make_split(seed=1), cfg)
+        assert info.value.epoch == 3
+        assert [r.epoch for r in info.value.records] == [1, 2]
+
     def test_nonfinite_validation_loss_stops_at_once(self, monkeypatch):
         monkeypatch.setattr(training, "validation_mse", lambda *args: np.nan)
         with pytest.raises(Diverged, match="validation loss") as info:
@@ -535,54 +551,72 @@ class TestDivergence:
         assert (info.value.epoch, info.value.iteration, info.value.layer_id) == (1, None, None)
 
 
+def phase_one(net, data, cfg):
+    """train with fine-tuning off: phase one alone."""
+    return train(net, data, replace(cfg, finetune=FinetuneConfig(enabled=False)))
+
+
+def without_seconds(records):
+    return [replace(r, seconds=0.0) for r in records]
+
+
 class TestFinetune:
-    def test_derived_config_doubles_batch_and_drops_lr(self):
-        cfg = TrainConfig(batch_size=16)
-        derived = derive_finetune_config(cfg)
-        assert derived.batch_size == 32
-        assert derived.learning_rate == 1e-5
+    def test_derived_config_doubles_batch_and_drops_lr(self, monkeypatch):
+        """Phase one steps at the configured batch and learning rate, phase two at double the batch and the
+        fine-tuning learning rate; patience above max_epochs makes each phase run two epochs of 4 steps."""
+        seen = []
+        real_loss, real_step = training.compute_loss, training.adam_step
+
+        def spy_loss(net, batch, cfg):
+            seen.append(len(batch[0]))
+            return real_loss(net, batch, cfg)
+
+        def spy_step(params, grads, state, lr, *args):
+            seen[-1] = (seen[-1], lr)
+            real_step(params, grads, state, lr, *args)
+
+        monkeypatch.setattr(training, "compute_loss", spy_loss)
+        monkeypatch.setattr(training, "adam_step", spy_step)
+        train(tiny_net(seed=8), make_split(seed=5), tiny_cfg(patience_epochs=5, max_epochs=2))
+        assert seen == [(2, 1e-3)] * 8 + [(4, 1e-5)] * 8
 
     def test_zero_epoch_finetune_returns_input(self):
-        net = tiny_net(seed=8)
+        """With phase two's max_epochs=0, train returns phase one's net, log and best epoch."""
         data = make_split(seed=5)
-        phase1 = train(net, data, tiny_cfg(max_epochs=2))
-        cfg = tiny_cfg(finetune=FinetuneConfig(max_epochs=0))
-        result = finetune(phase1.net, data, cfg)
-        assert result.best_epoch == 0
-        assert not result.log.records
+        cfg = tiny_cfg(max_epochs=2, finetune=FinetuneConfig(max_epochs=0))
+        phase1 = phase_one(tiny_net(seed=8), data, cfg)
+        result = train(tiny_net(seed=8), data, cfg)
+        assert (result.best_epoch, result.best_val_loss) == (phase1.best_epoch, phase1.best_val_loss)
+        assert without_seconds(result.log.records) == without_seconds(phase1.log.records)
         for la, lb in zip(phase1.net.layers, result.net.layers):
-            assert np.array_equal(la.weights, lb.weights)
+            assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
 
     def test_finetune_never_worse_than_input(self):
+        """Phase two ends no worse than phase one, and the net passed in ends at its final phase-one state."""
         net = tiny_net(seed=9)
+        phase1_net = net.clone()
         data = make_split(seed=6)
         cfg = tiny_cfg(max_epochs=3)
-        phase1 = train(net, data, cfg)
-        result = finetune(phase1.net, data, cfg)
-        # revalidation at the doubled batch size reorders float sums, so
-        # allow rounding-level slack on the comparison
-        assert result.best_val_loss <= phase1.best_val_loss * (1.0 + 1e-9)
+        phase1 = phase_one(phase1_net, data, cfg)
+        result = train(net, data, cfg)
+        assert len(result.log.records) > len(phase1.log.records)
+        assert result.best_val_loss <= phase1.best_val_loss
+        for la, lb in zip(phase1_net.layers, net.layers):
+            assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
 
     @pytest.mark.parametrize(
         "ft", [FinetuneConfig(max_epochs=0), FinetuneConfig(max_epochs=2, learning_rate=0.3)], ids=["zero", "worse"]
     )
     def test_no_improving_epoch_returns_input_and_its_score(self, ft):
-        """The input, scored at the doubled batch size, is kept as epoch 0."""
+        """A phase two that never beats phase one's score returns phase one's best weights, epoch and score."""
         data = make_split(seed=5)
-        cfg = tiny_cfg(finetune=ft)
-        start = train(tiny_net(seed=8), data, tiny_cfg(max_epochs=2)).net
-        before = start.clone()
-        result = finetune(start, data, cfg)
-        assert result.best_epoch == 0
-        assert len(result.log.records) == ft.max_epochs
-        banks = collect_filter_banks(start)
-        expected = validation_mse(start, data.validation, 2 * cfg.batch_size) + mhe_penalty(
-            banks, cfg.mhe, resolve_lambda(cfg, len(banks))
-        )[0]
-        assert result.best_val_loss == expected
-        for la, lb, lc in zip(before.layers, start.layers, result.net.layers):
-            assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.weights, lc.weights)
-            assert np.array_equal(la.bias, lb.bias) and np.array_equal(la.bias, lc.bias)
+        cfg = tiny_cfg(max_epochs=2, finetune=ft)
+        phase1 = phase_one(tiny_net(seed=8), data, cfg)
+        result = train(tiny_net(seed=8), data, cfg)
+        assert len(result.log.records) == len(phase1.log.records) + ft.max_epochs
+        assert (result.best_epoch, result.best_val_loss) == (phase1.best_epoch, phase1.best_val_loss)
+        for la, lb in zip(phase1.net.layers, result.net.layers):
+            assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
 
 
 class TestTrainLog:
