@@ -155,15 +155,16 @@ def _assign_splits(names: list[str], rng) -> dict[str, list[str]]:
 
 def generate_dataset(n_songs: int, duration_s: float, sample_rate: int, seed: int, out_dir) -> DatasetManifest:
     """Synthesize a seeded dataset under out_dir and write its manifest."""
-    if n_songs < 1 or duration_s <= 0 or sample_rate < 1 or seed < 0:
+    if n_songs < 1 or sample_rate < 1 or seed < 0:
         raise InvalidConfig(
-            f"n_songs, duration_s, sample_rate must be positive and seed >= 0; "
-            f"got ({n_songs}, {duration_s}, {sample_rate}, {seed})"
+            f"n_songs, sample_rate must be positive and seed >= 0; got ({n_songs}, {sample_rate}, {seed})"
         )
     if sample_rate < MIN_SAMPLE_RATE:
         raise InvalidConfig(
             f"sample_rate must be >= {MIN_SAMPLE_RATE} Hz to carry tones up to 600 Hz, got {sample_rate}"
         )
+    if not (np.isfinite(duration_s * sample_rate) and round(duration_s * sample_rate) >= 1):
+        raise InvalidConfig(f"duration_s must be finite and last at least one sample, got {duration_s}")
     root = Path(out_dir)
     try:
         root.mkdir(parents=True, exist_ok=True)
@@ -218,6 +219,8 @@ def load_manifest(path) -> DatasetManifest:
     payload = read_json_object(path, "manifest")
     if payload.get("format") != MANIFEST_FORMAT:
         raise InvalidConfig(f"{path}: unknown manifest format {payload.get('format')!r}")
+    if not isinstance(payload.get("splits"), dict):
+        raise InvalidConfig(f"{path}: splits must be a JSON object, got {payload.get('splits')!r}")
     try:
         manifest = DatasetManifest(
             root=path.parent,

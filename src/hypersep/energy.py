@@ -219,17 +219,18 @@ def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_i
     # same derivative w.r.t. point i, hence the factor 2 below. Pairs whose
     # distance (or arccos argument) was clamped are constants: zero slope.
     # Bank-sized arrays are updated in place: fresh ones cost page faults.
+    # The euclidean derivative, coef_ik (p_i - p_k), keeps only its -coef_ik p_k
+    # part: the coef_ik p_i part is radial and the normalization chain rule
+    # below projects it out, so both distances share one product.
     live = off_diag & ~clamped
     if config.distance == "euclidean":
         coef = np.where(live, 2.0 * slopes / dist, 0.0)
-        grad_points = coef.sum(axis=1)[:, None] * points
-        grad_points -= coef @ points
     else:
         live &= ~dot_clipped
         inv_sin = 1.0 / np.sqrt(1.0 - gram_clipped * gram_clipped)
         coef = np.where(live, 2.0 * slopes * inv_sin, 0.0)
-        grad_points = coef @ points
-        np.negative(grad_points, out=grad_points)
+    grad_points = coef @ points
+    np.negative(grad_points, out=grad_points)
 
     grad_unit = grad_points[:n] - grad_points[n:] if config.space == "half" else grad_points
 

@@ -235,31 +235,6 @@ class TrainResult:
     best_val_loss: float
 
 
-class EarlyStopper:
-    """Tracks the best validation loss; stops after `patience` flat epochs.
-
-    Improvement is strict, over best_loss to start with. With the best at
-    epoch b (0 if none), training stops once epoch - b >= patience, so a
-    run whose loss last improved at epoch 5 with patience 10 trains
-    through epoch 15 and then halts.
-    """
-
-    def __init__(self, patience: int, best_loss: float = np.inf):
-        self.patience = patience
-        self.best_loss = best_loss
-        self.best_epoch = 0
-
-    def observe(self, epoch: int, loss: float) -> bool:
-        if loss < self.best_loss:
-            self.best_loss = loss
-            self.best_epoch = epoch
-            return True
-        return False
-
-    def should_stop(self, epoch: int) -> bool:
-        return epoch - self.best_epoch >= self.patience
-
-
 def _eligible(songs, window: int):
     return [s for s in songs if s.mixture.size >= window]
 
@@ -324,19 +299,18 @@ def _check_finite(loss: float, params: list[np.ndarray], epoch: int, iteration: 
 
 def _run_phase(net: SepNet, train_songs, val_songs, cfg: TrainConfig, seed_seq, lam: float, best: TrainResult):
     """One phase's epoch loop on net with a fresh Adam state, its epochs numbered on from the last in best.log
-    and appended there. An epoch becomes the best only by beating best.best_val_loss, and patience counts from
-    the phase's first epoch; returns the best result so far, best itself if no epoch beat it."""
+    (the phase's start) and appended there. An epoch becomes the best only by beating best.best_val_loss, and
+    the phase stops once cfg.patience_epochs epochs pass after the later of the best epoch and the start, or
+    after cfg.max_epochs epochs; returns the best result so far, best itself if no epoch beat it."""
     window = net.config.input_len
     child = seed_seq.spawn(2)
     rng_sample = np.random.default_rng(child[0])
     rng_aug = np.random.default_rng(child[1])
     params = net.parameters()
     state = AdamState.for_params(params)
-    stopper = EarlyStopper(cfg.patience_epochs, best.best_val_loss)
     records = best.log.records
-    offset = records[-1].epoch if records else 0
-    epoch = 0  # within the phase; the log's number is offset + epoch
-    while cfg.max_epochs is None or epoch < cfg.max_epochs:
+    start = epoch = records[-1].epoch if records else 0
+    while cfg.max_epochs is None or epoch < start + cfg.max_epochs:
         epoch += 1
         started = time.perf_counter()
         mse_sum = 0.0
@@ -344,13 +318,13 @@ def _run_phase(net: SepNet, train_songs, val_songs, cfg: TrainConfig, seed_seq, 
             batch = _sample_batch(train_songs, cfg, window, rng_sample, rng_aug)
             loss, mse, _, grads = compute_loss(net, batch, cfg)
             adam_step(params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
-            _check_finite(loss, params, offset + epoch, iteration)
+            _check_finite(loss, params, epoch, iteration)
             mse_sum += mse
-        val, penalty_now = _validation_loss(net, val_songs, cfg, lam, offset + epoch)
+        val, penalty_now = _validation_loss(net, val_songs, cfg, lam, epoch)
         val_loss = val + penalty_now
         records.append(
             EpochRecord(
-                offset + epoch,
+                epoch,
                 mse_sum / cfg.iterations_per_epoch,
                 penalty_now,
                 val_loss,
@@ -359,9 +333,9 @@ def _run_phase(net: SepNet, train_songs, val_songs, cfg: TrainConfig, seed_seq, 
                 val,
             )
         )
-        if stopper.observe(epoch, val_loss):
-            best = TrainResult(net.clone(), best.log, offset + epoch, val_loss)
-        if stopper.should_stop(epoch):
+        if val_loss < best.best_val_loss:
+            best = TrainResult(net.clone(), best.log, epoch, val_loss)
+        if epoch - max(best.best_epoch, start) >= cfg.patience_epochs:
             break
     return best
 

@@ -58,6 +58,32 @@ def brute_force_normalized(weights, space, distance, s_power, clamp_epsilon=1e-1
     return energy / (n_eff * (n_eff - 1))
 
 
+def long_double_euclidean_gradient(weights, space, s_power, clamp_epsilon=1e-12):
+    """Gradient of the ordered-pair euclidean energy w.r.t. the raw weights, in np.longdouble throughout.
+
+    Distances come from explicit point differences, never from a Gram matrix,
+    and the chain rule through row normalization is applied at the end. Loops
+    over rows, vectorized over each row's pairs, so paper-sized banks stay fast.
+    """
+    w = np.asarray(weights, dtype=np.longdouble)
+    norms = np.sqrt(np.sum(w * w, axis=1))
+    unit = w / norms[:, None]
+    points = np.concatenate([unit, -unit]) if space == "half" else unit
+    grad = np.zeros_like(points)
+    for i in range(len(points)):
+        diff = points[i] - points
+        d = np.sqrt(np.sum(diff * diff, axis=1))
+        live = d >= clamp_epsilon  # clamped pairs are constants; excludes i itself
+        d = d[live]
+        slope = {0: -1 / d, 1: -1 / (d * d), 2: -2 / (d * d * d)}[s_power]
+        # (i, k) and (k, i) both depend on point i: factor 2
+        grad[i] = 2 * np.sum((slope / d)[:, None] * diff[live], axis=0)
+    n = len(unit)
+    grad_unit = grad[:n] - grad[n:] if space == "half" else grad
+    radial = np.sum(unit * grad_unit, axis=1)
+    return (grad_unit - radial[:, None] * unit) / norms[:, None]
+
+
 def finite_difference_gradient(func, weights, h=1e-6):
     """Central finite differences of a scalar function of a weight matrix."""
     w = np.asarray(weights, dtype=float)

@@ -97,6 +97,26 @@ class TestRuntimeErrors:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf", "1e-9"])
+    def test_gen_data_rejects_durations_without_a_finite_sample_count(self, tmp_path, capsys, seconds):
+        rc = cli(["gen-data", "--songs", "1", "--seconds", seconds, "--out", str(tmp_path / "ds")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "duration_s" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("splits", [[], "x", 5, None], ids=["array", "string", "number", "null"])
+    def test_train_rejects_a_manifest_whose_splits_are_no_object(self, pipeline, tmp_path, capsys, splits):
+        data = tmp_path / "ds"
+        data.mkdir()
+        manifest = json.loads((pipeline["data"] / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, "splits": splits}))
+        rc = cli(["train", "--config", str(pipeline["config"]), "--data", str(data),
+                  "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "splits" in err
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestThomson:
     def test_antipodal_csv(self, capsys):

@@ -92,6 +92,12 @@ class TestGeneration:
         with pytest.raises(InvalidConfig):
             generate_dataset(0, 1.0, 4000, seed=0, out_dir=tmp_path / "ds")
 
+    @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf"), 1e-9, 1e308])
+    def test_rejects_durations_without_a_finite_sample_count(self, tmp_path, seconds):
+        with pytest.raises(InvalidConfig, match="duration_s"):
+            generate_dataset(1, seconds, 4000, seed=0, out_dir=tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
+
 
 class TestSplits:
     def test_single_song_goes_to_train(self):
@@ -170,8 +176,12 @@ class TestManifest:
             lambda payload: [payload],  # top level an array
             lambda payload: {**payload, "songs": {"song000": 0}},  # directory a number
             lambda payload: {**payload, "splits": {"train": [["song000"]]}},  # name a list
+            lambda payload: {**payload, "splits": []},
+            lambda payload: {**payload, "splits": "x"},
+            lambda payload: {**payload, "splits": 5},
+            lambda payload: {**payload, "splits": None},
         ],
-        ids=["array", "number_dir", "list_name"],
+        ids=["array", "number_dir", "list_name", "splits_array", "splits_string", "splits_number", "splits_null"],
     )
     def test_wrong_json_types_rejected(self, tmp_path, edit):
         manifest = generate_dataset(1, 1.0, 4000, seed=7, out_dir=tmp_path / "ds")

@@ -320,6 +320,19 @@ class TestGradients:
                 err = oracles.max_relative_error(analytic, fd)
                 assert err < 1e-5, f"{config.label()}: rel err {err:.2e}"
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_euclidean_gradient_matches_long_double_on_paper_banks(self, seed):
+        """The paper net's down1 (24x15) and down2 (48x360) banks under the six euclidean configs, against a
+        long-double gradient: within 2e-14 of its largest entry."""
+        for bank in collect_filter_banks(init_net(NetConfig(seed=seed)))[:2]:
+            for config in all_configs():
+                if config.distance != "euclidean":
+                    continue
+                got = layer_energy(bank, config).gradient
+                ref = oracles.long_double_euclidean_gradient(bank.weights, config.space, config.s_power)
+                err = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+                assert err < 2e-14, f"{bank.weights.shape} {config.label()}: {err:.2e}"
+
     def test_gradient_is_zero_under_row_rescaling_direction(self):
         """Energy is scale-free, so gradients are orthogonal to their row."""
         rng = np.random.default_rng(42)

@@ -12,7 +12,6 @@ from hypersep.errors import Diverged, EmptyDataset, InvalidConfig, LengthMismatc
 from hypersep.net import NetConfig, collect_filter_banks, init_net
 from hypersep.training import (
     AdamState,
-    EarlyStopper,
     EpochRecord,
     FinetuneConfig,
     TrainConfig,
@@ -404,33 +403,53 @@ class TestComputeLoss:
             compute_loss(net, (np.zeros((0, 16)), np.zeros((0, 16))), cfg)
 
 
-class TestEarlyStopper:
-    def test_patience_window_after_last_improvement(self):
-        """Improvements at epochs 1..5 then plateau: stop lands at 5 + patience."""
-        stopper = EarlyStopper(patience=3)
-        losses = {e: 10.0 - e for e in range(1, 6)}
-        stopped_at = None
-        for epoch in range(1, 50):
-            stopper.observe(epoch, losses.get(epoch, 6.0))
-            if stopper.should_stop(epoch):
-                stopped_at = epoch
-                break
-        assert stopper.best_epoch == 5
-        assert stopped_at == 8
+def scripted_train(monkeypatch, patience, scores, finetune=True):
+    """train with the penalty off and both phases uncapped, validation_mse scoring the log's epoch e as scores[e - 1]
+    and 5.0 past their end; returns the result and the net scored at each epoch, by epoch."""
+    scored = {}
 
-    def test_longer_patience_never_stops_earlier(self):
-        rng = np.random.default_rng(87)
-        losses = rng.uniform(0.0, 1.0, 60).tolist()
+    def score(net, songs):
+        epoch = len(scored) + 1
+        scored[epoch] = net.clone()
+        return scores[epoch - 1] if epoch <= len(scores) else 5.0
 
-        def run(patience):
-            stopper = EarlyStopper(patience)
-            for epoch, loss in enumerate(losses, start=1):
-                stopper.observe(epoch, loss)
-                if stopper.should_stop(epoch):
-                    return epoch
-            return len(losses)
+    monkeypatch.setattr(training, "validation_mse", score)
+    cfg = tiny_cfg(lambda_mode="off", patience_epochs=patience, max_epochs=None, iterations_per_epoch=1,
+                   finetune=FinetuneConfig(enabled=finetune, max_epochs=None))
+    return train(tiny_net(seed=4), make_split(seed=1), cfg), scored
 
-        assert run(10) >= run(5) >= run(2)
+
+def assert_same_net(a, b):
+    for la, lb in zip(a.layers, b.layers):
+        assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+
+
+class TestPatience:
+    @pytest.mark.parametrize("patience", [1, 3, 5])
+    def test_phase_one_stops_patience_epochs_after_its_best(self, monkeypatch, patience):
+        """Scores 9, 8, 7, 6, 5, then flat: phase one keeps epoch 5 and its last epoch is 5 + patience."""
+        result, scored = scripted_train(monkeypatch, patience, [9.0, 8.0, 7.0, 6.0, 5.0], finetune=False)
+        assert [r.epoch for r in result.log.records] == list(range(1, 6 + patience))
+        assert [r.val_loss for r in result.log.records[:5]] == [9.0, 8.0, 7.0, 6.0, 5.0]
+        assert (result.best_epoch, result.best_val_loss) == (5, 5.0)
+        assert_same_net(result.net, scored[5])
+
+    @pytest.mark.parametrize("patience", [1, 3, 5])
+    def test_flat_phase_two_stops_patience_epochs_after_it_starts(self, monkeypatch, patience):
+        """A phase two that never beats 5.0 runs `patience` epochs after phase one's last, 5 + patience, and
+        returns phase one's best."""
+        result, scored = scripted_train(monkeypatch, patience, [9.0, 8.0, 7.0, 6.0, 5.0])
+        assert [r.epoch for r in result.log.records] == list(range(1, 6 + 2 * patience))
+        assert (result.best_epoch, result.best_val_loss) == (5, 5.0)
+        assert_same_net(result.net, scored[5])
+
+    def test_improving_phase_two_moves_the_best_and_the_stop(self, monkeypatch):
+        """At patience 3 phase one ends at epoch 8; phase two's second epoch (10) scores 4.0, so it stops at 13."""
+        scores = [9.0, 8.0, 7.0, 6.0, 5.0, 5.0, 5.0, 5.0, 5.0, 4.0]
+        result, scored = scripted_train(monkeypatch, 3, scores + [4.0] * 10)
+        assert len(result.log.records) == 13
+        assert (result.best_epoch, result.best_val_loss) == (10, 4.0)
+        assert_same_net(result.net, scored[10])
 
 
 class TestTrainLoop:
