@@ -111,10 +111,11 @@ def _carve_gaps(rng, signal, rate):
 
 
 def _lowpass(noise, rate, cutoff):
-    """Crude FIR smoothing: normalized Hann window sized by the cutoff."""
+    """Crude FIR smoothing: normalized Hann window sized by the cutoff; the centred len(noise) samples of the full
+    convolution, which mode="same" would widen to the window's length for a signal shorter than it."""
     width = max(3, 2 * int(rate / (2.0 * cutoff)) + 1)
     window = np.hanning(width)
-    return np.convolve(noise, window / window.sum(), mode="same")
+    return np.convolve(noise, window / window.sum())[(width - 1) // 2 :][: len(noise)]
 
 
 def _synthesize_song(rng, n, rate):

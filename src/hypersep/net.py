@@ -15,11 +15,19 @@ zero columns. Flat, a conv is a sum over taps of W_k @ x[:, j + s_k] for all
 columns j at once, so no tap crosses a gap, and its input gradient is the same
 sum with transposed taps. Nothing is upsampled at full rate: an up conv is a
 skip conv of the encoder activation plus a two-phase conv of its low-rate
-lower input, whose taps give the even and odd outputs (_phase_taps), with two
-edge fixes per window. The forward cache keeps each conv's (C, B, T) output
-only; backward reads the LeakyReLU slope off it (act > 0 exactly when pre > 0)
-and releases it. Every pass over many windows, training or inference, calls
-forward_batch on _windows_per_call of them at a time, whatever its batch size.
+lower input, whose taps give the even and odd outputs (_phase_taps), added
+into the output block by block, with two edge fixes per window.
+
+What depends only on the config and the batch size (each conv's stride, skip
+and shifts, the phase matrix, the edge fixes, whether a tap sum stacks its
+shifted inputs and how many columns a block takes) is built once per batch
+size into a program (_program) that both passes read. Each activation is
+written in place over its conv's gapped output, gaps zeroed, so a stride-1
+conv or skip reads it as it stands. The forward cache keeps those outputs
+only; backward reads the LeakyReLU slope off them (act > 0 exactly when
+pre > 0) and releases each. Every pass over many windows, training or
+inference, calls forward_batch on _windows_per_call of them at a time,
+whatever its batch size.
 """
 
 import json
@@ -34,8 +42,15 @@ from .fileio import write_atomic
 
 LEAKY_SLOPE = 0.3
 
-# Columns per block of a conv's tap sum.
+# Columns per block of a conv's tap sum, at most.
 _BLOCK = 4096
+
+# Elements per stacked block of a tap sum, at most (16 MiB), unless that leaves fewer than 512 columns: uncapped, the
+# paper bottleneck's (15 * 192, 4096) block took 90 MiB and set a training chunk's forward peak.
+_STACK = 1 << 21
+
+# Elements per step of the elementwise passes, the activations and the LeakyReLU slope: 512 KiB.
+_RUN = 1 << 16
 
 # Samples per forward_batch call of a pass over many windows (_windows_per_call).
 _CHUNK = 1 << 16
@@ -110,6 +125,8 @@ class ConvLayer:
 class SepNet:
     config: NetConfig
     layers: list[ConvLayer]
+    # forward_batch's _program for each batch size it has run.
+    programs: dict[int, list["_Conv"]] = field(default_factory=dict, repr=False, compare=False)
 
     def parameters(self) -> list[np.ndarray]:
         """Live weight/bias arrays, interleaved in layer order."""
@@ -126,60 +143,125 @@ class SepNet:
         )
 
 
-def _conv_plan(layers: list[ConvLayer]) -> list[tuple[int, int | None, int, bool]]:
-    """(stride, skip, low, leaky) per conv: it reads every stride-th sample of the previous conv's output (conv 0:
-    the mixtures), at the low rate through its first low input channels if it is an up conv, whose others read conv
-    skip's output; then LeakyReLU if leaky, else tanh."""
-    return [(2 if idx and layers[idx - 1].role == "down" else 1, l.level - 1 if l.role == "up" else None,
-             l.weights.shape[1] - l.weights.shape[0] if l.role == "up" else 0, l.role != "output")
-            for idx, l in enumerate(layers)]
+@dataclass(frozen=True)
+class _Loop:
+    """How _shifted_sum runs one product: the shifts its taps read at, whether a block's shifted inputs are stacked
+    into one product, and the columns per block."""
+
+    shifts: list[int]
+    stack: bool
+    block: int
+
+
+def _loop(shifts: list[int], rows: int, c: int, n: int) -> _Loop:
+    """The _Loop of len(shifts) (rows, c) taps over n flat columns. With fewer input rows than output rows, or as
+    many and at most 512 rows to stack (small products, where one call beats K), a block's shifted inputs are stacked,
+    in blocks of at most _STACK elements but at least 512 columns; otherwise each tap's product is added in turn. No
+    block is wider than _BLOCK columns, or than n."""
+    stack = c < rows or (c == rows and len(shifts) * c <= 512)
+    block = min(_BLOCK, max(512, _STACK // (len(shifts) * c))) if stack else _BLOCK
+    return _Loop(shifts, stack, min(n, block))
+
+
+@dataclass(frozen=True)
+class _Conv:
+    """One conv of a program. It reads every stride-th sample of the previous conv's output (conv 0: the mixtures),
+    at the low rate through its first low input channels if it is an up conv, whose others read conv skip's output;
+    then LeakyReLU if leaky, else tanh. forward runs its full-rate part (the whole conv, or an up conv's skip conv) and
+    adjoint that part's input gradient; an up conv's two-phase part runs phase and phase_adjoint, from the matrix m of
+    _phase_matrix, with the edge fixes of _edges."""
+
+    stride: int
+    skip: int | None
+    low: int
+    leaky: bool
+    forward: _Loop
+    adjoint: _Loop
+    phase: _Loop | None = None
+    phase_adjoint: _Loop | None = None
+    m: np.ndarray | None = None
+    edges: list[np.ndarray] | None = None
+
+
+def _conv_step(shape: tuple[int, int, int], stride: int, skip: int | None, low: int, leaky: bool, t: int, batch: int,
+               pad: int) -> _Conv:
+    """The _Conv of a (C_out, C_in, K) conv with t outputs per window, over batch windows between gaps of pad."""
+    c_out, c_in, kernel = shape
+    shifts = list(range(-(kernel // 2), kernel // 2 + 1))
+    n = batch * (t + 2 * pad) - 2 * pad
+    full = _loop(shifts, c_out, c_in - low, n), _loop([-s for s in shifts], c_in - low, c_out, n)
+    if skip is None:
+        return _Conv(stride, skip, low, leaky, *full)
+    m, shifts = _phase_matrix(kernel)
+    n = batch * (t // 2 + 2 * pad) - 2 * pad
+    return _Conv(stride, skip, low, leaky, *full, _loop(shifts, 2 * c_out, low, n),
+                 _loop([-s for s in shifts], low, 2 * c_out, n), m, _edges(kernel, t))
+
+
+def _gap(config: NetConfig) -> int:
+    """The zero columns on each side of a window: the widest kernel's half-width, at least 1."""
+    return (max(config.down_kernel, config.up_kernel, 3) - 1) // 2
+
+
+def _program(net: SepNet, batch: int) -> list[_Conv]:
+    """Every conv's _Conv for a batch of net.config.input_len windows: what both passes read, which only the
+    config and the batch size fix."""
+    t, program = net.config.input_len, []
+    for idx, layer in enumerate(net.layers):
+        stride, up = 2 if idx and net.layers[idx - 1].role == "down" else 1, layer.role == "up"
+        t = t // stride * (2 if up else 1)
+        low = layer.weights.shape[1] - layer.weights.shape[0] if up else 0
+        program.append(_conv_step(layer.weights.shape, stride, layer.level - 1 if up else None, low,
+                                  layer.role != "output", t, batch, _gap(net.config)))
+    return program
 
 
 @dataclass
 class ForwardCache:
-    """A batch's mixtures, its gap width, each conv's plan, and the (C, B, T) output of every conv so far; backward
-    sets each to None once read for the last time."""
+    """A batch's mixtures, its gap width, its program, and the gapped (C, B, T + 2 * pad) output of every conv so far,
+    gaps zero; backward sets each to None once read for the last time."""
 
-    plan: list[tuple[int, int | None, int, bool]]
+    program: list[_Conv]
     mixtures: np.ndarray | None
     pad: int
     activations: list[np.ndarray | None] = field(default_factory=list)
 
     def output(self, i: int) -> np.ndarray:
-        """Conv i's (C, B, T) output; i = -1 gives the mixtures as one channel."""
+        """Conv i's gapped output; i = -1 gives the mixtures as one channel, without gaps."""
         x = self.mixtures if i < 0 else self.activations[i]
         if x is None:
             raise ConsumedCache("this forward cache was already consumed by backward_batch")
         return x[None] if i < 0 else x
 
-    def gapped(self, i: int, stride: int = 1) -> np.ndarray:
-        """Every stride-th sample of output(i) in a gapped (C, B, T + 2 * pad) buffer."""
-        x = self.output(i)[:, :, ::stride]
+    def conv_input(self, idx: int) -> np.ndarray:
+        """Conv idx's input, gapped; for an up conv, its lower input at the low rate, without the skip. At stride 1
+        it is conv idx - 1's output itself; the mixtures, or every second sample of a down conv's output, are copied
+        into a new buffer."""
+        x = self.output(idx - 1)
+        if idx and self.program[idx].stride == 1:
+            return x
+        x = _window(x, self.pad)[:, :, ::2] if idx else x
         xs = np.zeros(x.shape[:2] + (x.shape[2] + 2 * self.pad,))
         _window(xs, self.pad)[:] = x
         return xs
-
-    def conv_input(self, idx: int) -> np.ndarray:
-        """Conv idx's input, gapped; for an up conv, its lower input at the low rate, without the skip."""
-        return self.gapped(idx - 1, self.plan[idx][0])
 
     @property
     def conv_inputs(self) -> list[np.ndarray]:
         """Every conv's full-rate input as one (B, C_in, T) array, [_upsample(lower); skip] for an up conv: the
         reference for what the convs compute, built on demand."""
         inputs = []
-        for idx, (_, skip, _, _) in enumerate(self.plan):
+        for idx, conv in enumerate(self.program):
             x = _window(self.conv_input(idx), self.pad)
-            if skip is not None:
+            if conv.skip is not None:
                 up = np.empty(x.shape[:2] + (2 * x.shape[2],))
                 _upsample(x, up)
-                x = np.concatenate([up, self.output(skip)])
+                x = np.concatenate([up, _window(self.output(conv.skip), self.pad)])
             inputs.append(x.transpose(1, 0, 2))
         return inputs
 
     @property
     def vocals(self) -> np.ndarray:
-        return self.output(len(self.activations) - 1)[0]
+        return _window(self.output(len(self.activations) - 1), self.pad)[0]
 
 
 def _layer_plan(config: NetConfig) -> list[tuple[str, int, int, int, int]]:
@@ -218,45 +300,48 @@ def init_net(config: NetConfig) -> SepNet:
 
 
 def _window(xs: np.ndarray, pad: int) -> np.ndarray:
-    """The (C, B, T) window columns of a gapped (C, B, T + 2 * pad) buffer."""
-    return xs[:, :, pad : xs.shape[2] - pad]
+    """The window columns of a gapped buffer, whose last axis is T + 2 * pad long."""
+    return xs[..., pad : xs.shape[-1] - pad]
 
 
-def _shifted_sum(out: np.ndarray, taps: np.ndarray, xs: np.ndarray, shifts: list[int], pad: int, bias=None) -> None:
-    """out[:, j] = sum_k taps[k] @ xs[:, j + shifts[k]] (+ bias) for the flat columns j between the
-    outer pads, one column block at a time. With fewer input rows than output rows, or as many and at
-    most 512 rows to stack (small products, where one call beats K), a block's shifted copies are
-    stacked into one product; otherwise each tap's product is added in turn."""
+def _shifted_sum(out, taps: np.ndarray, xs: np.ndarray, loop: _Loop, pad: int, bias=None, sink=None) -> None:
+    """out[:, j] = sum_k taps[k] @ xs[:, j + loop.shifts[k]] (+ bias) for the flat columns j between the outer pads,
+    loop.block columns at a time; given a sink in place of out, each block is summed in scratch and handed on as
+    sink(c0, block), c0 its first column. A stacked loop copies a block's shifted inputs into one product; otherwise
+    each tap's product is added in turn."""
     kernel, rows, c = taps.shape
-    n, stack = xs.shape[1] - 2 * pad, c < rows or (c == rows and kernel * c <= 512)
-    wide = taps.transpose(1, 0, 2).reshape(rows, kernel * c) if stack else None
-    buf = np.empty((kernel * c if stack else rows, min(n, _BLOCK)))
-    for c0 in range(pad, pad + n, _BLOCK):
-        c1 = min(c0 + _BLOCK, pad + n)
-        acc, part = out[:, c0:c1], buf[:, : c1 - c0]
-        if stack:
+    n, shifts, width = xs.shape[1] - 2 * pad, loop.shifts, loop.block
+    # Both products take C-contiguous taps: BLAS rounds a transposed operand's product differently.
+    wide = np.ascontiguousarray(taps.transpose(1, 0, 2)).reshape(rows, kernel * c) if loop.stack else None
+    buf = np.empty((kernel * c if loop.stack else rows, width))
+    scratch = None if sink is None else np.empty((rows, width))
+    for c0 in range(pad, pad + n, width):
+        c1 = min(c0 + width, pad + n)
+        acc, part = out[:, c0:c1] if sink is None else scratch[:, : c1 - c0], buf[:, : c1 - c0]
+        if loop.stack:
             for k, s in enumerate(shifts):
                 part[k * c : (k + 1) * c] = xs[:, c0 + s : c1 + s]
             np.matmul(wide, part, out=acc)
-        else:
-            np.matmul(taps[0], xs[:, c0 + shifts[0] : c1 + shifts[0]], out=acc)
+        else:  # one tap's copy at a time, not the whole stack's
+            np.matmul(np.ascontiguousarray(taps[0]), xs[:, c0 + shifts[0] : c1 + shifts[0]], out=acc)
             for a, s in zip(taps[1:], shifts[1:]):
-                np.matmul(a, xs[:, c0 + s : c1 + s], out=part)
+                np.matmul(np.ascontiguousarray(a), xs[:, c0 + s : c1 + s], out=part)
                 acc += part
         if bias is not None:
             acc += bias[:, None]
+        if sink is not None:
+            sink(c0, acc)
 
 
-def _taps(weights: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """A (C_out, C_in, K) conv's (K, C_out, C_in) tap stack and the shifts -p .. p its taps read at."""
-    p = (weights.shape[2] - 1) // 2
-    return weights.transpose(2, 0, 1), list(range(-p, p + 1))
+def _taps(weights: np.ndarray) -> np.ndarray:
+    """A (C_out, C_in, K) conv's (K, C_out, C_in) tap stack; tap k reads at shift k - (K - 1) / 2."""
+    return weights.transpose(2, 0, 1)
 
 
-def _conv_forward(xs: np.ndarray, taps: np.ndarray, shifts: list[int], pad: int, bias=None) -> np.ndarray:
+def _conv_forward(xs: np.ndarray, taps: np.ndarray, loop: _Loop, pad: int, bias=None) -> np.ndarray:
     """The _shifted_sum of a gapped (C_in, B, T + 2 * pad) buffer, pad >= every |shift|, in a new such buffer."""
     ys = np.empty((taps.shape[1],) + xs.shape[1:])
-    _shifted_sum(ys.reshape(len(ys), -1), np.ascontiguousarray(taps), xs.reshape(len(xs), -1), shifts, pad, bias)
+    _shifted_sum(ys.reshape(len(ys), -1), taps, xs.reshape(len(xs), -1), loop, pad, bias)
     return ys
 
 
@@ -276,26 +361,28 @@ def _bias_grad(ds: np.ndarray, pad: int) -> np.ndarray:
     return sum(d.sum(axis=1) for d in _window(ds, pad).transpose(1, 0, 2))
 
 
-def _conv_input_grad(xs: np.ndarray, taps: np.ndarray, ds: np.ndarray, shifts: list[int], pad: int) -> np.ndarray:
-    """d_input of _conv_forward, the exact adjoint of its sum over taps, written over xs once
-    _conv_param_grads has read it, gaps zeroed."""
-    adjoint = taps.transpose(0, 2, 1).copy()
-    _shifted_sum(xs.reshape(len(xs), -1), adjoint, ds.reshape(len(ds), -1), [-s for s in shifts], pad)
-    xs[:, :, :pad] = xs[:, :, xs.shape[2] - pad :] = 0.0
-    return xs
+def _conv_input_grad(out: np.ndarray, taps: np.ndarray, ds: np.ndarray, loop: _Loop, pad: int) -> np.ndarray:
+    """d_input of _conv_forward, the exact adjoint of its sum over taps (loop: the adjoint's), written into out, a
+    gapped buffer shaped like the input, gaps zeroed."""
+    _shifted_sum(out.reshape(len(out), -1), taps.transpose(0, 2, 1), ds.reshape(len(ds), -1), loop, pad)
+    out[:, :, :pad] = out[:, :, out.shape[2] - pad :] = 0.0
+    return out
 
 
-def _phase_taps(w_taps: np.ndarray) -> tuple[np.ndarray, list[int], np.ndarray]:
-    """The conv by a (K, C_out, C_low) tap stack of the linear interpolation u of a low-rate a between zero gaps,
-    u[d] = (a[floor(d / 2)] + a[ceil(d / 2)]) / 2, as one conv of a: (taps, shifts, M), where tap k reads
-    a[m + shifts[s]] at output 2m + r with weight M[r, k, s], and the (S, 2 * C_out, C_low) taps[s, r] = sum_k
-    M[r, k, s] w_taps[k] give the even outputs' rows, then the odd ones'."""
-    kernel, p = len(w_taps), (len(w_taps) - 1) // 2
+def _phase_matrix(kernel: int) -> tuple[np.ndarray, list[int]]:
+    """(M, shifts) of the conv by K taps of the linear interpolation u of a low-rate a between zero gaps,
+    u[d] = (a[floor(d / 2)] + a[ceil(d / 2)]) / 2, as one conv of a: tap k reads a[m + shifts[s]] at output 2m + r
+    with weight M[r, k, s]."""
+    p = (kernel - 1) // 2
     shifts = np.arange(-((p + 1) // 2), p // 2 + 2)
     d = (np.arange(2)[:, None] + np.arange(kernel) - p)[..., None]
-    m = 0.5 * (d // 2 == shifts) + 0.5 * ((d + 1) // 2 == shifts)
-    taps = np.tensordot(m, w_taps, axes=(1, 0)).transpose(1, 0, 2, 3).reshape(len(shifts), -1, w_taps.shape[2])
-    return taps, shifts.tolist(), m
+    return 0.5 * (d // 2 == shifts) + 0.5 * ((d + 1) // 2 == shifts), shifts.tolist()
+
+
+def _phase_taps(w_taps: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The (S, 2 * C_out, C_low) taps[s, r] = sum_k M[r, k, s] w_taps[k] of a (K, C_out, C_low) tap stack: the
+    even outputs' rows, then the odd ones'."""
+    return np.tensordot(m, w_taps, axes=(1, 0)).transpose(1, 0, 2, 3).reshape(m.shape[2], -1, w_taps.shape[2])
 
 
 def _edges(kernel: int, t: int) -> list[np.ndarray]:
@@ -311,36 +398,68 @@ def _phases(y: np.ndarray) -> np.ndarray:
     return y.reshape(y.shape[:2] + (-1, 2)).transpose(3, 0, 1, 2)
 
 
-def _add_two_phase(ys: np.ndarray, xs: np.ndarray, w_taps: np.ndarray, pad: int) -> None:
-    """Add to ys the conv by w_taps of _upsample(a), a the window of the gapped low-rate xs, without building it:
-    one conv of a gives its even and odd outputs, then the edge fixes apply to every window at once."""
-    phases = _conv_forward(xs, *_phase_taps(w_taps)[:2], pad)
-    y, a = _window(ys, pad), _window(xs, pad)
-    _phases(y)[:] += _window(phases, pad).reshape((2,) + y.shape[:2] + (-1,))
-    del phases
-    cols, ks, src, weight = _edges(len(w_taps), y.shape[2])
+def _add_two_phase(ys: np.ndarray, xs: np.ndarray, w_taps: np.ndarray, conv: _Conv, pad: int) -> None:
+    """Add to ys the conv by w_taps of _upsample(a), a the window of the gapped low-rate xs, without building it: one
+    conv of a gives each block's even and odd outputs, added into ys as the block is done; then the edge fixes apply
+    to every window at once."""
+    y, a, width = _window(ys, pad), _window(xs, pad), xs.shape[2]
+
+    def add(c0, block):
+        for b in range(c0 // width, (c0 + block.shape[1] - 1) // width + 1):
+            # Window b's samples m0 .. m1 - 1 sit in this block, from its column b * width + pad + m0 - c0 on.
+            m0, m1 = max(c0 - b * width - pad, 0), min(c0 + block.shape[1] - b * width - pad, a.shape[2])
+            if m0 < m1:
+                part = block[:, b * width + pad - c0 + m0 : b * width + pad - c0 + m1]
+                y[:, b, 2 * m0 : 2 * m1 : 2] += part[: len(y)]
+                y[:, b, 2 * m0 + 1 : 2 * m1 : 2] += part[len(y) :]
+
+    _shifted_sum(None, _phase_taps(w_taps, conv.m), xs.reshape(len(xs), -1), conv.phase, pad, sink=add)
+    cols, ks, src, weight = conv.edges
     fixes = weight[:, None, None] * w_taps[ks] @ a[:, :, src].transpose(2, 0, 1)
     np.add.at(y, (slice(None), slice(None), cols), fixes.transpose(1, 2, 0))
 
 
-def _two_phase_grads(xs: np.ndarray, d_phases: np.ndarray, w_taps: np.ndarray, a: np.ndarray, pad: int) -> np.ndarray:
-    """d_w_taps of _add_two_phase given its d_out's _phases in a gapped buffer, d_phases, and the (C_low, B, L)
-    low-rate a; d_a is written over xs, a's gapped copy, once read."""
-    taps, shifts, m = _phase_taps(w_taps)
+def _two_phase_grads(xs: np.ndarray, d_phases: np.ndarray, w_taps: np.ndarray, d_xs: np.ndarray, conv: _Conv,
+                     pad: int) -> np.ndarray:
+    """d_w_taps of _add_two_phase given its d_out's _phases in a gapped buffer, d_phases, and its gapped low-rate
+    input xs; the input gradient is written into d_xs, a gapped buffer shaped like xs."""
+    d_a = _window(_conv_input_grad(d_xs, _phase_taps(w_taps, conv.m), d_phases, conv.phase_adjoint, pad), pad)
+    shifts, a = conv.phase.shifts, _window(xs, pad)
     d_taps = _conv_param_grads(xs, d_phases, shifts, pad).reshape(len(shifts), 2, *w_taps.shape[1:])
-    d_w_taps = np.tensordot(m, d_taps, axes=([0, 2], [1, 0]))  # the adjoint of taps[s, r] = sum_k M[r, k, s] w[k]
-    d_a = _window(_conv_input_grad(xs, taps, d_phases, shifts, pad), pad)
-    cols, ks, src, weight = _edges(len(w_taps), 2 * a.shape[2])
+    d_w_taps = np.tensordot(conv.m, d_taps, axes=([0, 2], [1, 0]))  # the adjoint of taps[s, r] = sum_k M[r, k, s] w[k]
+    cols, ks, src, weight = conv.edges
     g = weight[:, None, None] * _window(d_phases, pad).reshape((2, -1) + a.shape[1:])[cols % 2, :, :, cols // 2]
     np.add.at(d_w_taps, ks, g @ a[:, :, src].transpose(2, 1, 0))
     np.add.at(d_a, (slice(None), slice(None), src), (w_taps[ks].transpose(0, 2, 1) @ g).transpose(1, 2, 0))
     return d_w_taps
 
 
-def _leaky(x: np.ndarray) -> np.ndarray:
+def _leaky(x: np.ndarray, out=None) -> np.ndarray:
     """max(x, slope * x): the same values as x > 0 ? x : slope * x, and act > 0 exactly when x > 0."""
-    act = x * LEAKY_SLOPE
-    return np.maximum(x, act, out=act)
+    return np.maximum(x, x * LEAKY_SLOPE, out=out)
+
+
+def _activate(ys: np.ndarray, leaky: bool, pad: int) -> np.ndarray:
+    """A conv's gapped output made its activation in place, gaps zeroed: LeakyReLU if leaky, else tanh, _RUN
+    elements at a time."""
+    ys[:, :, :pad] = ys[:, :, ys.shape[2] - pad :] = 0.0
+    flat = ys.reshape(-1)
+    for i in range(0, flat.size, _RUN):
+        x = flat[i : i + _RUN]
+        if leaky:
+            _leaky(x, out=x)
+        else:
+            np.tanh(x, out=x)
+    return ys
+
+
+def _slope(ds: np.ndarray, act: np.ndarray) -> None:
+    """Multiply a LeakyReLU conv's gapped d(loss)/d(output) in place by the slope read off its gapped output (act > 0
+    exactly when pre > 0), _RUN elements at a time."""
+    d, a = ds.reshape(-1), act.reshape(-1)
+    for i in range(0, d.size, _RUN):
+        row = (a[i : i + _RUN] > 0).astype(np.float64)
+        d[i : i + _RUN] *= np.maximum(row, LEAKY_SLOPE, out=row)
 
 
 def _upsample(x: np.ndarray, out: np.ndarray) -> None:
@@ -358,21 +477,23 @@ def _windows_per_call(batch: int, input_len: int) -> int:
 
 
 def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run a (B, input_len) batch, B from _windows_per_call in every pass; returns vocals and backward_batch's cache."""
+    """Run a (B, input_len) batch, B from _windows_per_call in every pass; returns vocals and backward_batch's cache.
+    The batch size's program is built on its first call and kept in net.programs."""
     mixtures = np.asarray(mixtures, dtype=np.float64)
     if mixtures.ndim != 2 or mixtures.shape[1] != net.config.input_len:
         raise ShapeMismatch(f"expected batch shape (B, {net.config.input_len}), got {mixtures.shape}")
-    pad = (max(net.config.down_kernel, net.config.up_kernel, 3) - 1) // 2
-    cache = ForwardCache(_conv_plan(net.layers), mixtures, pad)
-    for idx, (layer, (_, skip, low, leaky)) in enumerate(zip(net.layers, cache.plan)):
+    if len(mixtures) not in net.programs:
+        net.programs[len(mixtures)] = _program(net, len(mixtures))
+    cache = ForwardCache(net.programs[len(mixtures)], mixtures, _gap(net.config))
+    for idx, (layer, conv) in enumerate(zip(net.layers, cache.program)):
         # The full-rate part: the whole conv, or an up conv's skip conv; then the up conv's two-phase part.
-        xs = cache.conv_input(idx) if skip is None else cache.gapped(skip)
-        ys = _conv_forward(xs, *_taps(layer.weights[:, low:]), pad, layer.bias)
-        del xs
-        if skip is not None:
-            _add_two_phase(ys, cache.conv_input(idx), _taps(layer.weights[:, :low])[0], pad)
-        cache.activations.append((_leaky if leaky else np.tanh)(_window(ys, pad)))
-        del ys  # before the next conv's input is built
+        xs = cache.conv_input(idx) if conv.skip is None else cache.output(conv.skip)
+        ys = _conv_forward(xs, _taps(layer.weights[:, conv.low :]), conv.forward, cache.pad, layer.bias)
+        del xs  # a stride-2 copy, before the two-phase part runs
+        if conv.skip is not None:
+            _add_two_phase(ys, cache.conv_input(idx), _taps(layer.weights[:, : conv.low]), conv, cache.pad)
+        cache.activations.append(_activate(ys, conv.leaky, cache.pad))
+        del ys
     return cache.vocals, cache
 
 
@@ -389,35 +510,32 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> li
     d_outs[-1] = np.zeros((1, len(d_vocals), d_vocals.shape[1] + 2 * pad))
     np.multiply(d_vocals, 1.0 - cache.vocals**2, out=_window(d_outs[-1], pad)[0])
     for idx in range(len(net.layers) - 1, -1, -1):
-        weights, (stride, skip, low, leaky) = net.layers[idx].weights, cache.plan[idx]
+        weights, conv = net.layers[idx].weights, cache.program[idx]
         ds, d_outs[idx] = d_outs[idx], None
-        if leaky:
-            # act > 0 exactly when pre > 0, so the LeakyReLU slope reads off act, a channel at a time.
-            for d, act in zip(_window(ds, pad), acts[idx]):
-                row = (act > 0).astype(np.float64)
-                d *= np.maximum(row, LEAKY_SLOPE, out=row)
-            del d, act, row  # the loop's views would keep the activation and ds alive
+        if conv.leaky:
+            _slope(ds, acts[idx])
         acts[idx] = None  # the convs that read it as input or skip have run backward already
         # The full-rate part, as in forward_batch.
-        xs = cache.conv_input(idx) if skip is None else cache.gapped(skip)
-        taps, shifts = _taps(weights[:, low:])
-        d_taps, grads[2 * idx + 1] = _conv_param_grads(xs, ds, shifts, pad), _bias_grad(ds, pad)
+        xs = cache.conv_input(idx) if conv.skip is None else cache.output(conv.skip)
+        d_taps, grads[2 * idx + 1] = _conv_param_grads(xs, ds, conv.forward.shifts, pad), _bias_grad(ds, pad)
         if idx:  # nothing reads the mixtures' gradient
-            _conv_input_grad(xs, taps, ds, shifts, pad)
-            if skip is not None or stride == 1:  # the skip's first part, or conv idx - 1's only reader's
-                d_outs[idx - 1 if skip is None else skip] = xs
-            else:  # a down conv's output, whose skip part came first
+            taps = _taps(weights[:, conv.low :])
+            if conv.stride == 1:  # the skip's first part, or conv idx - 1's only reader's: xs is an activation
+                d_outs[idx - 1 if conv.skip is None else conv.skip] = _conv_input_grad(
+                    np.empty_like(xs), taps, ds, conv.adjoint, pad)
+            else:  # a down conv's output, whose skip part came first; xs is a copy, free to write over
+                _conv_input_grad(xs, taps, ds, conv.adjoint, pad)
                 _window(d_outs[idx - 1], pad)[:, :, ::2] += _window(xs, pad)
         del xs
-        if skip is not None:  # the two-phase part: ds is released before the lower input is copied
-            w_taps, a = _taps(weights[:, :low])[0], acts[idx - 1]
-            d_phases = np.zeros((2 * len(ds),) + a.shape[1:2] + (a.shape[2] + 2 * pad,))
-            _window(d_phases, pad).reshape((2, -1) + a.shape[1:])[:] = _phases(_window(ds, pad))
+        if conv.skip is not None:  # the two-phase part: ds is released before the input gradient's buffer is made
+            w_taps, xs = _taps(weights[:, : conv.low]), cache.conv_input(idx)
+            d_phases = np.zeros((2 * len(ds),) + xs.shape[1:])
+            _window(d_phases.reshape((2, len(ds)) + xs.shape[1:]), pad)[:] = _phases(_window(ds, pad))
             ds = None
-            xs = cache.conv_input(idx)
-            d_taps = np.concatenate([_two_phase_grads(xs, d_phases, w_taps, a, pad), d_taps], axis=2)
-            d_outs[idx - 1] = xs
-            del xs, a, d_phases
+            d_outs[idx - 1] = np.empty_like(xs)
+            d_taps = np.concatenate(
+                [_two_phase_grads(xs, d_phases, w_taps, d_outs[idx - 1], conv, pad), d_taps], axis=2)
+            del xs, d_phases
         grads[2 * idx] = np.ascontiguousarray(d_taps.transpose(1, 2, 0))
         ds = None  # before the next conv's input is built
     cache.mixtures = None

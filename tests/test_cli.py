@@ -9,7 +9,7 @@ import pytest
 
 from hypersep import cli as cli_module
 from hypersep.cli import build_parser, cli
-from hypersep.dataset import load_manifest
+from hypersep.dataset import load_manifest, load_split
 from hypersep.errors import CorruptHeader, HypersepError
 from hypersep.net import load_checkpoint, save_checkpoint
 
@@ -96,6 +96,13 @@ class TestRuntimeErrors:
                   "--seed", "0", "--out", str(tmp_path / "ds")])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("seconds", ["0.001", "0.000125"])
+    def test_gen_data_of_a_few_samples(self, tmp_path, capsys, seconds):
+        assert cli(["gen-data", "--songs", "1", "--seconds", seconds, "--rate", "8000", "--out",
+                    str(tmp_path / "ds")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(load_split(load_manifest(tmp_path / "ds")).train) == 1
 
     @pytest.mark.parametrize("seconds", ["nan", "inf", "1e-9"])
     def test_gen_data_rejects_durations_without_a_finite_sample_count(self, tmp_path, capsys, seconds):

@@ -92,6 +92,15 @@ class TestGeneration:
         with pytest.raises(InvalidConfig):
             generate_dataset(0, 1.0, 4000, seed=0, out_dir=tmp_path / "ds")
 
+    @pytest.mark.parametrize("seconds, samples", [(0.001, 8), (0.000125, 1)])
+    def test_songs_shorter_than_the_smoothing_window(self, tmp_path, seconds, samples):
+        """At 8 kHz the accompaniment's Hann window is up to 27 samples wide; a shorter song keeps its length."""
+        manifest = generate_dataset(1, seconds, 8000, seed=0, out_dir=tmp_path / "ds")
+        (song,) = load_split(load_manifest(tmp_path / "ds")).train
+        assert len(song.vocals) == len(song.accompaniment) == samples
+        np.testing.assert_array_equal(song.mixture, song.vocals + song.accompaniment)
+        assert set(manifest.songs) == {song.name}
+
     @pytest.mark.parametrize("seconds", [0.0, -1.0, float("nan"), float("inf"), 1e-9, 1e308])
     def test_rejects_durations_without_a_finite_sample_count(self, tmp_path, seconds):
         with pytest.raises(InvalidConfig, match="duration_s"):

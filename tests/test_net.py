@@ -21,6 +21,8 @@ from hypersep.net import (
     _conv_forward,
     _conv_input_grad,
     _conv_param_grads,
+    _conv_step,
+    _gap,
     _layer_plan,
     _leaky,
     _taps,
@@ -34,6 +36,7 @@ from hypersep.net import (
     save_checkpoint,
     separate_signal,
 )
+from hypersep.training import TrainConfig, compute_loss
 
 import oracles
 
@@ -196,36 +199,44 @@ def gapped(x):
     return xs
 
 
+def conv_step(w, x, low=0):
+    """The program step of a plain conv by w of the (B, C, T) x; of an up conv if low > 0, x its lower input."""
+    if low:
+        return _conv_step(w.shape, 1, 0, low, True, 2 * x.shape[2], len(x), PAD)
+    return _conv_step(w.shape, 1, None, 0, True, x.shape[2], len(x), PAD)
+
+
 def conv_forward(x, w, b):
-    return _conv_forward(gapped(x), *_taps(w), PAD, b)[:, :, PAD:-PAD].transpose(1, 0, 2)
+    return _conv_forward(gapped(x), _taps(w), conv_step(w, x).forward, PAD, b)[:, :, PAD:-PAD].transpose(1, 0, 2)
 
 
 def conv_backward(x, w, d):
-    (xs, ds), (taps, shifts) = (gapped(x), gapped(d)), _taps(w)
-    d_taps, d_bias = _conv_param_grads(xs, ds, shifts, PAD), _bias_grad(ds, PAD)
-    d_input = _conv_input_grad(xs, taps, ds, shifts, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
+    xs, ds, conv = gapped(x), gapped(d), conv_step(w, x)
+    d_taps, d_bias = _conv_param_grads(xs, ds, conv.forward.shifts, PAD), _bias_grad(ds, PAD)
+    d_input = _conv_input_grad(np.empty_like(xs), _taps(w), ds, conv.adjoint, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
     return d_taps.transpose(1, 2, 0), d_bias, d_input
 
 
 # An up conv reads a (B, C_low, L) lower input a at the low rate and a (B, C_out, 2L)
 # skip s; its weights' first C_low input channels read a, the rest s.
 def up_conv_forward(a, s, w, b):
-    low = a.shape[1]
-    ys = _conv_forward(gapped(s), *_taps(w[:, low:]), PAD, b)
-    _add_two_phase(ys, gapped(a), _taps(w[:, :low])[0], PAD)
+    low, conv = a.shape[1], conv_step(w, a, a.shape[1])
+    ys = _conv_forward(gapped(s), _taps(w[:, low:]), conv.forward, PAD, b)
+    _add_two_phase(ys, gapped(a), _taps(w[:, :low]), conv, PAD)
     return ys[:, :, PAD:-PAD].transpose(1, 0, 2)
 
 
 def up_conv_backward(a, s, w, d):
     """(d_weights, d_bias, d_a, d_s) as backward_batch takes them, given d_out d."""
-    low = a.shape[1]
+    low, conv = a.shape[1], conv_step(w, a, a.shape[1])
     d_skip, d_bias, d_s = conv_backward(s, w[:, low:], d)
     d_phases = np.zeros((2 * w.shape[0], len(a), a.shape[2] + 2 * PAD))
     d_phases[: w.shape[0], :, PAD:-PAD] = d[:, :, 0::2].transpose(1, 0, 2)
     d_phases[w.shape[0] :, :, PAD:-PAD] = d[:, :, 1::2].transpose(1, 0, 2)
-    xs, w_taps = gapped(a), _taps(w[:, :low])[0]
-    d_low = _two_phase_grads(xs, d_phases, w_taps, a.transpose(1, 0, 2), PAD).transpose(1, 2, 0)
-    return np.concatenate([d_low, d_skip], axis=1), d_bias, xs[:, :, PAD:-PAD].transpose(1, 0, 2), d_s
+    xs = gapped(a)
+    d_xs = np.empty_like(xs)
+    d_low = _two_phase_grads(xs, d_phases, _taps(w[:, :low]), d_xs, conv, PAD).transpose(1, 2, 0)
+    return np.concatenate([d_low, d_skip], axis=1), d_bias, d_xs[:, :, PAD:-PAD].transpose(1, 0, 2), d_s
 
 
 def up_reference(a, s, w, b):
@@ -283,6 +294,22 @@ class TestConvAndResampling:
         monkeypatch.setattr(net_module, "_BLOCK", 4)
         self.test_conv_matches_loop_oracle(shape)
         self.test_conv_backward_is_adjoint(shape)
+
+    def test_stacked_block_is_capped_by_bytes(self):
+        """The paper bottleneck conv (192 -> 384 channels, K = 15) over 4 windows of 1024 stacks blocks of at most
+        16 MiB, not 15 * 192 rows by 4096 columns (90 MiB): its forward peaks at its output, one copy of its taps
+        and the block."""
+        rng = np.random.default_rng(86)
+        x, w = rng.standard_normal((4, 192, 1024)), rng.standard_normal((384, 192, 15))
+        xs, conv = gapped(x), conv_step(w, x)
+        tracemalloc.start()
+        try:
+            ys = _conv_forward(xs, _taps(w), conv.forward, PAD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert conv.forward.stack
+        assert peak <= ys.nbytes + w.nbytes + 16 * 2**20 + 2**18, f"{peak} B"
 
     def test_kernel_one_conv_is_channel_mix(self):
         rng = np.random.default_rng(72)
@@ -380,9 +407,9 @@ class TestForward:
         net = init_net(config)
         mixtures = np.random.default_rng(79).uniform(-1, 1, (8, 1024))
         outputs = 0
-        for role, level, _, c_out, _ in _layer_plan(config):
+        for role, level, _, c_out, _ in _layer_plan(config):  # each in a buffer with its gaps
             t = config.input_len >> (config.depth if role == "bottleneck" else max(level - 1, 0))
-            outputs += mixtures.shape[0] * c_out * t * 8
+            outputs += mixtures.shape[0] * c_out * (t + 2 * _gap(config)) * 8
         tracemalloc.start()
         try:
             vocals, cache = forward_batch(net, mixtures)
@@ -475,7 +502,6 @@ class TestBackward:
             raise AssertionError("a pass upsampled at the full rate")
 
         monkeypatch.setattr(net_module, "_upsample", refuse)
-        monkeypatch.setattr(net_module, "_upsample_backward", refuse, raising=False)
         config = NetConfig(depth=3, base_features=8, input_len=1024, seed=0)
         net = init_net(config)
         vocals, cache = forward_batch(net, np.random.default_rng(85).uniform(-1, 1, (8, config.input_len)))
@@ -625,6 +651,21 @@ class TestSeparateSignal:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], f"separation {peaks[1]} B, one chunk's forward {peaks[0]} B"
+
+    def test_program_is_built_once_per_batch_shape(self, monkeypatch):
+        """Two 8-window training steps run chunks of 4 and 4 windows, a separation of 10 windows and a tail runs
+        4, 4 and 3: one program for 4 windows and one for 3, kept on the net."""
+        config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
+        net = init_net(config)
+        built, build = [], net_module._program
+        monkeypatch.setattr(net_module, "_program", lambda *args: built.append(args[1]) or build(*args))
+        rng = np.random.default_rng(92)
+        batch = rng.uniform(-1, 1, (2, 8, config.input_len))
+        for _ in range(2):
+            compute_loss(net, (batch[0], batch[1]), TrainConfig(batch_size=8, lambda_mode="off"))
+        separate_signal(net, rng.uniform(-1, 1, 10 * config.input_len + 100))
+        assert built == [4, 3]
+        assert sorted(net.programs) == [3, 4]
 
     def test_empty_signal_rejected(self):
         net = init_net(tiny_config())
