@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidConfig, IoError, LengthMismatch
 from .fileio import read_json_object, write_atomic
-from .wavio import quantize_pcm16, read_wav, write_wav
+from .wavio import MAX_SAMPLE_RATE, quantize_pcm16, read_wav, write_wav
 
 MANIFEST_FORMAT = "hypersep-dataset-v1"
 MANIFEST_NAME = "manifest.json"
@@ -156,9 +156,9 @@ def _assign_splits(names: list[str], rng) -> dict[str, list[str]]:
 
 def generate_dataset(n_songs: int, duration_s: float, sample_rate: int, seed: int, out_dir) -> DatasetManifest:
     """Synthesize a seeded dataset under out_dir and write its manifest."""
-    if n_songs < 1 or sample_rate < 1 or seed < 0:
+    if n_songs < 1 or not 1 <= sample_rate <= MAX_SAMPLE_RATE or seed < 0:
         raise InvalidConfig(
-            f"n_songs, sample_rate must be positive and seed >= 0; got ({n_songs}, {sample_rate}, {seed})"
+            f"need n_songs >= 1, sample_rate in [1, {MAX_SAMPLE_RATE}], seed >= 0; got ({n_songs}, {sample_rate}, {seed})"
         )
     if sample_rate < MIN_SAMPLE_RATE:
         raise InvalidConfig(

@@ -52,8 +52,10 @@ _STACK = 1 << 21
 # Elements per step of the elementwise passes, the activations and the LeakyReLU slope: 512 KiB.
 _RUN = 1 << 16
 
-# Samples per forward_batch call of a pass over many windows (_windows_per_call).
-_CHUNK = 1 << 16
+# Samples per forward_batch call of a pass over many windows (_windows_per_call): 2 paper windows (T=16384). On a
+# 2-vCPU VM a fresh paper training step (B=16) peaked at 250, 177 and 144 MB ru_maxrss at 4, 2 and 1 windows per call
+# and took 5.7-7.1, 5.6-5.7 and 6.2-7.4 s; separation took about as long at 2 as at 4.
+_CHUNK = 1 << 15
 
 # The batch both inference passes, separate_signal and validation, ask _windows_per_call for. Traced on the
 # acceptance-7 net, separating a 6-s song peaks at 7.7 MiB at 8 windows per call, as a B=8 training step does, but at
@@ -564,19 +566,21 @@ def separate_signal(net: SepNet, mixture: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Consecutive config.input_len windows, the tail zero-padded and cropped
     back, run _windows_per_call(_INFERENCE_BATCH, input_len) per
-    forward_batch call. Accompaniment is mixture - vocals over the whole signal.
+    forward_batch call, each call's vocals written straight into one output
+    array: no copy of the whole signal sits beside a call's forward pass.
+    Accompaniment is mixture - vocals over the whole signal.
     """
     mixture = np.asarray(mixture, dtype=np.float64)
     if mixture.ndim != 1 or mixture.size == 0:
         raise ShapeMismatch(f"mixture must be a non-empty 1-D signal, got shape {mixture.shape}")
     win, total = net.config.input_len, mixture.size
-    windows = np.zeros(-(-total // win) * win)
-    windows[:total] = mixture
-    windows = windows.reshape(-1, win)
-    step = _windows_per_call(_INFERENCE_BATCH, win)
-    parts = [forward_batch(net, windows[start : start + step])[0] for start in range(0, len(windows), step)]
-    vocals = np.concatenate(parts).reshape(-1)[:total]
-    return vocals, mixture - vocals
+    step = _windows_per_call(_INFERENCE_BATCH, win) * win
+    vocals = np.empty(-(-total // win) * win)
+    for start in range(0, total, step):
+        chunk = mixture[start : start + step]
+        chunk = np.pad(chunk, (0, -chunk.size % win)) if chunk.size % win else chunk  # full windows stay views
+        vocals[start : start + step] = forward_batch(net, chunk.reshape(-1, win))[0].reshape(-1)
+    return vocals[:total], mixture - vocals[:total]
 
 
 def save_checkpoint(net: SepNet, path) -> None:

@@ -17,6 +17,9 @@ from .fileio import write_atomic
 
 _SCALE = 32768.0
 
+# The header's byte rate, 2 * sample_rate, is a uint32 field.
+MAX_SAMPLE_RATE = (2**32 - 1) // 2
+
 
 def read_wav(path) -> tuple[np.ndarray, int]:
     """Read a PCM16 mono WAV; returns (float64 samples, sample rate)."""
@@ -74,8 +77,8 @@ def quantize_pcm16(signal: np.ndarray) -> np.ndarray:
 
 def write_wav(path, signal: np.ndarray, sample_rate: int) -> None:
     """Write a float signal as PCM16 mono; clips to [-1, 32767/32768]."""
-    if sample_rate < 1:
-        raise InvalidConfig(f"sample_rate must be positive, got {sample_rate}")
+    if not 1 <= sample_rate <= MAX_SAMPLE_RATE:
+        raise InvalidConfig(f"sample_rate must be in [1, {MAX_SAMPLE_RATE}], got {sample_rate}")
     payload = quantize_pcm16(signal).tobytes()
     header = b"".join(
         [

@@ -97,6 +97,14 @@ class TestRuntimeErrors:
         assert rc == 2
         capsys.readouterr()
 
+    def test_gen_data_rejects_a_rate_too_large_for_the_wav_header(self, tmp_path, capsys):
+        """2 * rate must fit the header's uint32 byte rate: the rate is refused before any directory is made."""
+        rc = cli(["gen-data", "--songs", "1", "--seconds", "1e-9", "--rate", str(2**31), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "sample_rate" in err and "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("seconds", ["0.001", "0.000125"])
     def test_gen_data_of_a_few_samples(self, tmp_path, capsys, seconds):
         assert cli(["gen-data", "--songs", "1", "--seconds", seconds, "--rate", "8000", "--out",

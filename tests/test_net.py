@@ -28,6 +28,7 @@ from hypersep.net import (
     _taps,
     _two_phase_grads,
     _upsample,
+    _windows_per_call,
     backward_batch,
     collect_filter_banks,
     forward_batch,
@@ -558,11 +559,13 @@ class TestBackward:
 
 
     def test_paper_backward_peak_over_the_cache(self):
-        """On the paper config, backward's traced peak stays within 1.6x of the bytes the cache holds when
-        forward returns: no pass builds an up conv's upsampled or concatenated input (1.75x when both did)."""
+        """On the paper config, at the windows per call of a training step, backward's traced peak stays within 1.6x
+        of the bytes the cache holds when forward returns: no pass builds an up conv's upsampled or concatenated
+        input (1.75x when both did)."""
         config = NetConfig()
         net = init_net(config)
-        mixtures = np.random.default_rng(82).uniform(-1, 1, (4, config.input_len))
+        windows = _windows_per_call(TrainConfig().batch_size, config.input_len)
+        mixtures = np.random.default_rng(82).uniform(-1, 1, (windows, config.input_len))
         tracemalloc.start()
         try:
             vocals, cache = forward_batch(net, mixtures)
@@ -621,28 +624,28 @@ class TestSeparateSignal:
         np.testing.assert_allclose(vocals[:16], first_window, rtol=0, atol=1e-12)
 
     def test_chunks_give_their_forward_batch_vocals(self, monkeypatch):
-        """At T=16384 a chunk is 4 windows, so 10 windows and a tail run as calls of 4, 4 and 3 (separation asks
-        for 8 windows per call), and the vocals are those calls' bit for bit."""
+        """At T=16384 a chunk is 2 windows, so 10 windows and a tail run as calls of 2, 2, 2, 2, 2 and 1
+        (separation asks for 8 windows per call), and the vocals are those calls' bit for bit."""
         config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
         net = init_net(config)
         mixture = np.random.default_rng(90).uniform(-1, 1, 10 * config.input_len + 100)
         windows = np.zeros((11, config.input_len))
         windows.reshape(-1)[: mixture.size] = mixture
-        expected = np.concatenate([forward_batch(net, windows[s : s + 4])[0] for s in (0, 4, 8)])
+        expected = np.concatenate([forward_batch(net, windows[s : s + 2])[0] for s in range(0, 11, 2)])
         seen, run = [], net_module.forward_batch
         monkeypatch.setattr(net_module, "forward_batch", lambda *args: seen.append(len(args[1])) or run(*args))
         vocals, _ = separate_signal(net, mixture)
-        assert seen == [4, 4, 3]
+        assert seen == [2, 2, 2, 2, 2, 1]
         assert np.array_equal(vocals, expected.reshape(-1)[: mixture.size])
 
     def test_peak_is_one_chunks_forward(self):
-        """An 8-window signal, one separation batch, peaks as one 4-window chunk's forward pass does
-        (T=16384): the signal-sized arrays separate_signal holds add 5% here."""
+        """An 8-window signal, one separation batch, peaks as one 2-window chunk's forward pass does
+        (T=16384): the signal-sized output separate_signal fills adds 8% here."""
         config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
         net = init_net(config)
         mixture = np.random.default_rng(91).uniform(-1, 1, 8 * config.input_len)
         peaks = []
-        for run in (lambda: forward_batch(net, mixture[: 4 * config.input_len].reshape(4, -1)),
+        for run in (lambda: forward_batch(net, mixture[: 2 * config.input_len].reshape(2, -1)),
                     lambda: separate_signal(net, mixture)):
             tracemalloc.start()
             try:
@@ -653,8 +656,8 @@ class TestSeparateSignal:
         assert peaks[1] <= 1.1 * peaks[0], f"separation {peaks[1]} B, one chunk's forward {peaks[0]} B"
 
     def test_program_is_built_once_per_batch_shape(self, monkeypatch):
-        """Two 8-window training steps run chunks of 4 and 4 windows, a separation of 10 windows and a tail runs
-        4, 4 and 3: one program for 4 windows and one for 3, kept on the net."""
+        """Two 8-window training steps run four chunks of 2 windows each, a separation of 10 windows and a tail runs
+        five chunks of 2 and one of 1: one program for 2 windows and one for 1, kept on the net."""
         config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
         net = init_net(config)
         built, build = [], net_module._program
@@ -664,8 +667,8 @@ class TestSeparateSignal:
         for _ in range(2):
             compute_loss(net, (batch[0], batch[1]), TrainConfig(batch_size=8, lambda_mode="off"))
         separate_signal(net, rng.uniform(-1, 1, 10 * config.input_len + 100))
-        assert built == [4, 3]
-        assert sorted(net.programs) == [3, 4]
+        assert built == [2, 1]
+        assert sorted(net.programs) == [1, 2]
 
     def test_empty_signal_rejected(self):
         net = init_net(tiny_config())

@@ -525,9 +525,9 @@ class TestTrainLoop:
 class TestValidationMse:
     def test_peak_is_one_forward_pass(self):
         """No call's cache outlives its MSE, and a call holds one chunk: the traced peak is that of one chunk's
-        forward pass, 8 windows at T=1024 over a 24-window song, and 4 at T=16384 over a 32-window song."""
+        forward pass, 8 windows at T=1024 over a 24-window song, and 2 at T=16384 over a 32-window song."""
         for config, windows, chunk in [(NetConfig(depth=3, base_features=8, input_len=1024), 24, 8),
-                                       (NetConfig(depth=4, base_features=4, input_len=16384), 32, 4)]:
+                                       (NetConfig(depth=4, base_features=4, input_len=16384), 32, 2)]:
             net, t = init_net(config), config.input_len
             song = make_song(np.random.default_rng(89), windows * t)
             forward_peak = traced_peak(lambda: training.forward_batch(net, song.mixture[: chunk * t].reshape(chunk, t)))

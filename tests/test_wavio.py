@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypersep.errors import CorruptHeader, InvalidConfig, UnsupportedFormat
-from hypersep.wavio import quantize_pcm16, read_wav, write_wav
+from hypersep.wavio import MAX_SAMPLE_RATE, quantize_pcm16, read_wav, write_wav
 
 
 def build_wav(samples, rate=8000, channels=1, bits=16, audio_format=1, extra_chunk=None):
@@ -133,3 +133,15 @@ class TestRoundtrip:
     def test_write_rejects_bad_rate(self, tmp_path):
         with pytest.raises(InvalidConfig):
             write_wav(tmp_path / "r.wav", np.zeros(4), 0)
+
+    @pytest.mark.parametrize("rate", [2**31, 2**40])
+    def test_write_rejects_a_rate_whose_byte_rate_overflows(self, tmp_path, rate):
+        """The header's byte rate, 2 * rate, is a uint32: a rate of 2**31 or more raises InvalidConfig and writes
+        nothing, instead of escaping as a struct.error."""
+        with pytest.raises(InvalidConfig, match="sample_rate"):
+            write_wav(tmp_path / "r.wav", np.zeros(4), rate)
+        assert not (tmp_path / "r.wav").exists()
+
+    def test_largest_rate_roundtrips(self, tmp_path):
+        write_wav(tmp_path / "r.wav", np.zeros(4), MAX_SAMPLE_RATE)
+        assert read_wav(tmp_path / "r.wav")[1] == MAX_SAMPLE_RATE == 2**31 - 1
