@@ -108,13 +108,14 @@ class NetConfig:
         return self.base_features * (self.depth + 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvLayer:
     """One convolution with its role in the network.
 
     role is "down", "bottleneck", "up", or "output"; level is the 1-based
     resolution level for down/up layers and 0 otherwise. weights has shape
-    (out_channels, in_channels, kernel).
+    (out_channels, in_channels, kernel). weights and bias are views of a flat
+    vector, so they are written in place, never rebound.
     """
 
     role: str
@@ -125,24 +126,46 @@ class ConvLayer:
 
 @dataclass
 class SepNet:
+    """A config and one float64 parameter vector, of which every layer's weights and bias are views (_views)."""
+
     config: NetConfig
-    layers: list[ConvLayer]
+    vector: np.ndarray
+    layers: list[ConvLayer] = field(init=False, repr=False, compare=False)
     # forward_batch's _program for each batch size it has run.
     programs: dict[int, list["_Conv"]] = field(default_factory=dict, repr=False, compare=False)
 
-    def parameters(self) -> list[np.ndarray]:
-        """Live weight/bias arrays, interleaved in layer order."""
-        out = []
-        for layer in self.layers:
-            out.append(layer.weights)
-            out.append(layer.bias)
-        return out
+    def __post_init__(self):
+        self.layers = _views(self.config, self.vector)
+
+    def parameters(self) -> np.ndarray:
+        """The live parameter vector: layer by layer, each conv's weights, then its bias."""
+        return self.vector
 
     def clone(self) -> "SepNet":
-        return SepNet(
-            self.config,
-            [ConvLayer(l.role, l.level, l.weights.copy(), l.bias.copy()) for l in self.layers],
-        )
+        return SepNet(self.config, self.vector.copy())
+
+
+def _views(config: NetConfig, vector: np.ndarray) -> list[ConvLayer]:
+    """Every conv of config, in _layer_plan order, with weights and bias reshaped views of vector's slices, weights
+    first: the net's layers over its parameters, or a gradient's over a vector laid out as they are."""
+    layers, start = [], 0
+    for role, level, c_in, c_out, kernel in _layer_plan(config):
+        stop = start + c_out * c_in * kernel
+        layers.append(ConvLayer(role, level, vector[start:stop].reshape(c_out, c_in, kernel),
+                                vector[stop : stop + c_out]))
+        start = stop + c_out
+    return layers
+
+
+def _first_nonfinite(net: SepNet) -> tuple[int, str] | None:
+    """(layer index, "weights" or "bias") of the first non-finite parameter, None if all are finite: one isfinite
+    over the vector, and the layers are looked at only when it fails."""
+    finite = np.isfinite(net.vector)
+    if finite.all():
+        return None
+    ends = np.cumsum([part.size for layer in net.layers for part in (layer.weights, layer.bias)])
+    i = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+    return i // 2, ("weights", "bias")[i % 2]
 
 
 @dataclass(frozen=True)
@@ -291,14 +314,16 @@ def init_net(config: NetConfig) -> SepNet:
     produces bit-identical parameters.
     """
     rng = np.random.default_rng(config.seed)
-    layers = []
-    for role, level, c_in, c_out, kernel in _layer_plan(config):
-        fan_in = c_in * kernel
-        fan_out = c_out * kernel
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights = rng.uniform(-bound, bound, size=(c_out, c_in, kernel))
-        layers.append(ConvLayer(role, level, weights, np.zeros(c_out)))
-    return SepNet(config, layers)
+    net = SepNet(config, np.zeros(_parameter_count(config)))
+    for layer in net.layers:
+        c_out, c_in, kernel = layer.weights.shape
+        bound = np.sqrt(6.0 / ((c_in + c_out) * kernel))  # fan in plus fan out
+        layer.weights[:] = rng.uniform(-bound, bound, size=layer.weights.shape)
+    return net
+
+
+def _parameter_count(config: NetConfig) -> int:
+    return sum(c_out * (c_in * kernel + 1) for _, _, c_in, c_out, kernel in _layer_plan(config))
 
 
 def _window(xs: np.ndarray, pad: int) -> np.ndarray:
@@ -347,15 +372,16 @@ def _conv_forward(xs: np.ndarray, taps: np.ndarray, loop: _Loop, pad: int, bias=
     return ys
 
 
-def _conv_param_grads(xs: np.ndarray, ds: np.ndarray, shifts: list[int], pad: int) -> np.ndarray:
-    """d_taps of _conv_forward given d_out in a gapped buffer with zero gaps."""
+def _add_param_grads(out: np.ndarray, xs: np.ndarray, ds: np.ndarray, shifts: list[int], pad: int) -> None:
+    """Add d_weights of _conv_forward given d_out in a gapped buffer with zero gaps into out, (C_out, C_in, K) with
+    tap k read at shifts[k], one tap's product at a time."""
     x2, d2 = xs.reshape(len(xs), -1), ds.reshape(len(ds), -1)
     n = x2.shape[1] - 2 * pad
     # Output column j reads input column j + s; ds's zero gaps keep every window's gradient out of its neighbours.
-    d_taps = np.empty((len(shifts), len(ds), len(xs)))
+    tap = np.empty(out.shape[:2])
     for k, s in enumerate(shifts):
-        np.matmul(d2[:, pad : pad + n], x2[:, pad + s : pad + s + n].T, out=d_taps[k])
-    return d_taps
+        np.matmul(d2[:, pad : pad + n], x2[:, pad + s : pad + s + n].T, out=tap)
+        out[:, :, k] += tap
 
 
 def _bias_grad(ds: np.ndarray, pad: int) -> np.ndarray:
@@ -421,19 +447,22 @@ def _add_two_phase(ys: np.ndarray, xs: np.ndarray, w_taps: np.ndarray, conv: _Co
     np.add.at(y, (slice(None), slice(None), cols), fixes.transpose(1, 2, 0))
 
 
-def _two_phase_grads(xs: np.ndarray, d_phases: np.ndarray, w_taps: np.ndarray, d_xs: np.ndarray, conv: _Conv,
-                     pad: int) -> np.ndarray:
-    """d_w_taps of _add_two_phase given its d_out's _phases in a gapped buffer, d_phases, and its gapped low-rate
-    input xs; the input gradient is written into d_xs, a gapped buffer shaped like xs."""
+def _add_two_phase_grads(out: np.ndarray, xs: np.ndarray, d_phases: np.ndarray, w_taps: np.ndarray, d_xs: np.ndarray,
+                         conv: _Conv, pad: int) -> None:
+    """Add d_weights of _add_two_phase, given its d_out's _phases in a gapped buffer, d_phases, and its gapped
+    low-rate input xs, into out, (C_out, C_low, K); the input gradient is written into d_xs, a gapped buffer shaped
+    like xs."""
     d_a = _window(_conv_input_grad(d_xs, _phase_taps(w_taps, conv.m), d_phases, conv.phase_adjoint, pad), pad)
     shifts, a = conv.phase.shifts, _window(xs, pad)
-    d_taps = _conv_param_grads(xs, d_phases, shifts, pad).reshape(len(shifts), 2, *w_taps.shape[1:])
-    d_w_taps = np.tensordot(conv.m, d_taps, axes=([0, 2], [1, 0]))  # the adjoint of taps[s, r] = sum_k M[r, k, s] w[k]
+    d_taps = np.zeros((2 * out.shape[0], out.shape[1], len(shifts)))
+    _add_param_grads(d_taps, xs, d_phases, shifts, pad)
+    # The adjoint of taps[s, r] = sum_k M[r, k, s] w[k], as (K, C_out, C_low).
+    d_w_taps = np.tensordot(conv.m, d_taps.reshape(2, *out.shape[:2], len(shifts)), axes=([0, 2], [0, 3]))
     cols, ks, src, weight = conv.edges
     g = weight[:, None, None] * _window(d_phases, pad).reshape((2, -1) + a.shape[1:])[cols % 2, :, :, cols // 2]
     np.add.at(d_w_taps, ks, g @ a[:, :, src].transpose(2, 1, 0))
     np.add.at(d_a, (slice(None), slice(None), src), (w_taps[ks].transpose(0, 2, 1) @ g).transpose(1, 2, 0))
-    return d_w_taps
+    out += d_w_taps.transpose(1, 2, 0)
 
 
 def _leaky(x: np.ndarray, out=None) -> np.ndarray:
@@ -499,27 +528,29 @@ def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, Forwar
     return cache.vocals, cache
 
 
-def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> list[np.ndarray]:
-    """Exact parameter gradients given d(loss)/d(vocals) for the cached batch, interleaved as [d_weights,
-    d_bias, ...] in net.parameters() order. Consumes the cache: reusing it raises ConsumedCache."""
+def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray, grad: np.ndarray) -> None:
+    """Add the exact parameter gradients given d(loss)/d(vocals) for the cached batch into grad, a flat vector in
+    net.parameters() order. Consumes the cache: reusing it raises ConsumedCache."""
     d_vocals = np.asarray(d_vocals, dtype=np.float64)
     if d_vocals.shape != cache.vocals.shape:
         raise ShapeMismatch(f"d_vocals shape {d_vocals.shape} does not match cached vocals {cache.vocals.shape}")
-    pad, acts = cache.pad, cache.activations
-    grads: list[np.ndarray | None] = [None] * (2 * len(net.layers))
+    if grad.shape != net.vector.shape:
+        raise ShapeMismatch(f"gradient shape {grad.shape} does not match the parameters' {net.vector.shape}")
+    pad, acts, slots = cache.pad, cache.activations, _views(net.config, grad)
     # d(loss)/d(output) of each conv in a zero-gapped buffer: the one its first part was written in.
     d_outs: list[np.ndarray | None] = [None] * len(acts)
     d_outs[-1] = np.zeros((1, len(d_vocals), d_vocals.shape[1] + 2 * pad))
     np.multiply(d_vocals, 1.0 - cache.vocals**2, out=_window(d_outs[-1], pad)[0])
     for idx in range(len(net.layers) - 1, -1, -1):
-        weights, conv = net.layers[idx].weights, cache.program[idx]
+        weights, conv, slot = net.layers[idx].weights, cache.program[idx], slots[idx]
         ds, d_outs[idx] = d_outs[idx], None
         if conv.leaky:
             _slope(ds, acts[idx])
         acts[idx] = None  # the convs that read it as input or skip have run backward already
         # The full-rate part, as in forward_batch.
         xs = cache.conv_input(idx) if conv.skip is None else cache.output(conv.skip)
-        d_taps, grads[2 * idx + 1] = _conv_param_grads(xs, ds, conv.forward.shifts, pad), _bias_grad(ds, pad)
+        _add_param_grads(slot.weights[:, conv.low :], xs, ds, conv.forward.shifts, pad)
+        slot.bias[:] += _bias_grad(ds, pad)
         if idx:  # nothing reads the mixtures' gradient
             taps = _taps(weights[:, conv.low :])
             if conv.stride == 1:  # the skip's first part, or conv idx - 1's only reader's: xs is an activation
@@ -535,13 +566,10 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray) -> li
             _window(d_phases.reshape((2, len(ds)) + xs.shape[1:]), pad)[:] = _phases(_window(ds, pad))
             ds = None
             d_outs[idx - 1] = np.empty_like(xs)
-            d_taps = np.concatenate(
-                [_two_phase_grads(xs, d_phases, w_taps, d_outs[idx - 1], conv, pad), d_taps], axis=2)
+            _add_two_phase_grads(slot.weights[:, : conv.low], xs, d_phases, w_taps, d_outs[idx - 1], conv, pad)
             del xs, d_phases
-        grads[2 * idx] = np.ascontiguousarray(d_taps.transpose(1, 2, 0))
         ds = None  # before the next conv's input is built
     cache.mixtures = None
-    return grads  # type: ignore[return-value]
 
 
 def collect_filter_banks(net: SepNet) -> list[FilterBank]:
@@ -550,8 +578,8 @@ def collect_filter_banks(net: SepNet) -> list[FilterBank]:
     Down and up convs always count as hidden; the bottleneck conv counts
     only when the config marks it as its own layer; the kernel-1 output
     conv never does. Each bank's layer_id is the conv's index in
-    net.layers, and its weights are a reshape view of the live parameter
-    array.
+    net.layers, and its weights are a reshape view of the conv's slice of
+    the flat vector in net.parameters() order.
     """
     banks = []
     for idx, layer in enumerate(net.layers):
@@ -588,20 +616,12 @@ def save_checkpoint(net: SepNet, path) -> None:
     header = {
         "format_version": 1,
         "config": asdict(net.config),
-        "layers": [
-            {
-                "role": l.role,
-                "level": l.level,
-                "out_channels": int(l.weights.shape[0]),
-                "in_channels": int(l.weights.shape[1]),
-                "kernel": int(l.weights.shape[2]),
-            }
-            for l in net.layers
-        ],
+        "layers": [{"role": l.role, "level": l.level, "out_channels": l.weights.shape[0],
+                    "in_channels": l.weights.shape[1], "kernel": l.weights.shape[2]} for l in net.layers],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    params = [np.ascontiguousarray(p, dtype="<f8").tobytes() for p in net.parameters()]
-    write_atomic(path, b"".join([_MAGIC, struct.pack("<I", len(blob)), blob, *params]))
+    params = net.vector.astype("<f8", copy=False).tobytes()
+    write_atomic(path, b"".join([_MAGIC, struct.pack("<I", len(blob)), blob, params]))
 
 
 def load_checkpoint(path) -> SepNet:
@@ -626,19 +646,15 @@ def load_checkpoint(path) -> SepNet:
     plan = _layer_plan(config)
     if len(stored) != len(plan):
         raise IncompatibleShape(f"{path}: header lists {len(stored)} layers, config implies {len(plan)}")
-    layers = []
-    for meta, (role, level, c_in, c_out, kernel) in zip(stored, plan):
+    for meta, (role, _, c_in, c_out, kernel) in zip(stored, plan):
         shape = (meta.get("out_channels"), meta.get("in_channels"), meta.get("kernel"))
         if meta.get("role") != role or shape != (c_out, c_in, kernel):
             raise IncompatibleShape(f"{path}: stored layer {meta} does not match plan {role}/{shape}")
-        w_bytes = c_out * c_in * kernel * 8
-        if offset + w_bytes + c_out * 8 > len(data):
-            raise CorruptHeader(f"{path}: parameter block truncated")
-        weights = np.frombuffer(data, dtype="<f8", count=c_out * c_in * kernel, offset=offset)
-        offset += w_bytes
-        bias = np.frombuffer(data, dtype="<f8", count=c_out, offset=offset)
-        offset += c_out * 8
-        layers.append(ConvLayer(role, level, weights.reshape(c_out, c_in, kernel).copy(), bias.copy()))
-    if offset != len(data):
-        raise CorruptHeader(f"{path}: {len(data) - offset} trailing bytes after parameters")
-    return SepNet(config, layers)
+    count = _parameter_count(config)
+    if len(data) - offset != 8 * count:
+        raise CorruptHeader(f"{path}: a parameter block of {len(data) - offset} bytes, the config implies {8 * count}")
+    net = SepNet(config, np.frombuffer(data, dtype="<f8", count=count, offset=offset).astype(np.float64))
+    bad = _first_nonfinite(net)
+    if bad is not None:
+        raise CorruptHeader(f"{path}: non-finite parameters in layer {bad[0]} {bad[1]}")
+    return net

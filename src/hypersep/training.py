@@ -9,6 +9,8 @@ two (fine-tuning) runs the same loop from the best phase-one parameters, with
 the batch size doubled, a much smaller learning rate and a fresh optimizer
 state; it must beat phase one's best validation loss, and the best checkpoint
 over both phases is kept. A non-finite loss or parameter raises Diverged at once.
+The parameters, their gradient and Adam's moments are flat vectors in
+net.parameters() order, so an update or a finiteness check is one pass.
 
 Everything is driven by one master seed: sampling and augmentation get
 independent child streams, and the stream consumption per iteration is
@@ -23,8 +25,8 @@ import numpy as np
 from .energy import MheConfig, mhe_penalty
 from .errors import Diverged, EmptyDataset, InvalidConfig, LengthMismatch, ShapeMismatch, check_fields
 from .fileio import write_csv_rows
-from .net import (_INFERENCE_BATCH, NetConfig, SepNet, _windows_per_call, backward_batch, collect_filter_banks,
-                  forward_batch)
+from .net import (_INFERENCE_BATCH, NetConfig, SepNet, _first_nonfinite, _views, _windows_per_call, backward_batch,
+                  collect_filter_banks, forward_batch)
 
 LAMBDA_MODES = ("half_inv_L", "inv_L", "one", "custom", "off")
 
@@ -94,49 +96,36 @@ def resolve_lambda(cfg: TrainConfig, hidden_layers: int) -> float:
 
 @dataclass
 class AdamState:
-    first: list[np.ndarray]
-    second: list[np.ndarray]
+    """Adam's first and second moments, each shaped like the parameter vector, and its step count."""
+
+    first: np.ndarray
+    second: np.ndarray
     step: int = 0
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(np.zeros_like(params), np.zeros_like(params))
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
-    """One bias-corrected Adam update, in place."""
-    if len(params) != len(grads) or len(params) != len(state.first):
-        raise ShapeMismatch("params, grads and state must have matching lengths")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"gradient shape {g.shape} does not match parameter {p.shape}")
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float, beta1: float = 0.9,
+              beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One bias-corrected Adam update of the parameter vector, in place."""
+    if not params.shape == grads.shape == state.first.shape:
+        raise ShapeMismatch(f"parameters {params.shape}, gradient {grads.shape} and state {state.first.shape} differ")
     state.step += 1
     t = state.step
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for p, g, m, v in zip(params, grads, state.first, state.second):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    m, v = state.first, state.second
+    m *= beta1
+    m += (1.0 - beta1) * grads
+    v *= beta2
+    v += (1.0 - beta2) * grads * grads
+    params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
 
 
-def augment(
-    vocals: np.ndarray,
-    accompaniment: np.ndarray,
-    rng: np.random.Generator,
-    low: float = 0.7,
-    high: float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
+def augment(vocals: np.ndarray, accompaniment: np.ndarray, rng: np.random.Generator, low: float = 0.7,
+            high: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Attenuate the vocals by u ~ Uniform[low, high] and remix.
 
     Returns (attenuated vocals, rebuilt mixture); the target and the input
@@ -153,21 +142,20 @@ def augment(
     return attenuated, accompaniment + attenuated
 
 
-def compute_loss(
-    net: SepNet, batch: tuple[np.ndarray, np.ndarray], cfg: TrainConfig
-) -> tuple[float, float, float, list[np.ndarray]]:
-    """Loss, its MSE and penalty parts, and gradients for one batch.
+def compute_loss(net: SepNet, batch: tuple[np.ndarray, np.ndarray],
+                 cfg: TrainConfig) -> tuple[float, float, float, np.ndarray]:
+    """Loss, its MSE and penalty parts, and its gradient for one batch.
 
-    batch is (mixtures, target_vocals), both (B, input_len). Gradients are
-    interleaved [d_weights, d_bias, ...] in net.parameters() order, with
-    the energy gradients already added into the conv weight slots.
+    batch is (mixtures, target_vocals), both (B, input_len). The gradient
+    is a flat vector in net.parameters() order, with the energy gradients
+    added into the conv weight slots.
 
     The batch runs in chunks of net._windows_per_call(B, input_len)
     windows, each through forward_batch and backward_batch before the next
     starts, so a step holds one chunk's activations whatever B is. The
-    chunks' squared errors and gradients are summed, the latter into the
-    first chunk's arrays; a batch that fits one chunk runs as one call of
-    each.
+    chunks' squared errors are summed, and every chunk's backward_batch
+    adds into the same gradient vector; a batch that fits one chunk runs
+    as one call of each.
     """
     mixtures, targets = batch
     mixtures = np.asarray(mixtures, dtype=np.float64)
@@ -176,25 +164,25 @@ def compute_loss(
         raise ShapeMismatch(f"mixtures {mixtures.shape} vs targets {targets.shape}")
     if mixtures.ndim != 2 or mixtures.shape[0] < 1:
         raise ShapeMismatch(f"batch must be non-empty (B, T), got {mixtures.shape}")
-    grads, squares, chunk = None, 0.0, _windows_per_call(len(mixtures), mixtures.shape[1])
+    grad, squares, chunk = np.zeros_like(net.parameters()), 0.0, _windows_per_call(len(mixtures), mixtures.shape[1])
     for start in range(0, len(mixtures), chunk):
         vocals, cache = forward_batch(net, mixtures[start : start + chunk])
         err = vocals - targets[start : start + chunk]
         squares += float(np.sum(err * err))
-        part = backward_batch(net, cache, (2.0 / mixtures.size) * err)
-        grads = part if grads is None else [np.add(g, p, out=g) for g, p in zip(grads, part)]
-        del vocals, cache, err, part  # before the next chunk's forward
+        backward_batch(net, cache, (2.0 / mixtures.size) * err, grad)
+        del vocals, cache, err  # before the next chunk's forward
     mse = squares / mixtures.size
     if cfg.lambda_mode == "off":  # before the banks: collect_filter_banks checks every weight
-        return mse, mse, 0.0, grads
+        return mse, mse, 0.0, grad
     banks = collect_filter_banks(net)
     lam = resolve_lambda(cfg, len(banks))
     if lam == 0.0:
-        return mse, mse, 0.0, grads
+        return mse, mse, 0.0, grad
     penalty, bank_grads = mhe_penalty(banks, cfg.mhe, lam)
+    slots = _views(net.config, grad)
     for bank, g in zip(banks, bank_grads):
-        grads[2 * bank.layer_id] += g.reshape(net.layers[bank.layer_id].weights.shape)
-    return mse + penalty, mse, penalty, grads
+        slots[bank.layer_id].weights.reshape(g.shape)[:] += g
+    return mse + penalty, mse, penalty, grad
 
 
 @dataclass
@@ -288,13 +276,13 @@ def _validation_loss(net: SepNet, val_songs, cfg: TrainConfig, lam: float, epoch
     return val, penalty
 
 
-def _check_finite(loss: float, params: list[np.ndarray], epoch: int, iteration: int) -> None:
+def _check_finite(loss: float, net: SepNet, epoch: int, iteration: int) -> None:
     # A non-finite gradient reaches the parameters through the Adam update.
     if not np.isfinite(loss):
         raise Diverged(epoch, iteration, None, "the training loss")
-    for i, p in enumerate(params):
-        if not np.isfinite(p).all():
-            raise Diverged(epoch, iteration, i // 2, f"layer {i // 2} {('weights', 'bias')[i % 2]}")
+    bad = _first_nonfinite(net)
+    if bad is not None:
+        raise Diverged(epoch, iteration, bad[0], f"layer {bad[0]} {bad[1]}")
 
 
 def _run_phase(net: SepNet, train_songs, val_songs, cfg: TrainConfig, seed_seq, lam: float, best: TrainResult):
@@ -318,21 +306,12 @@ def _run_phase(net: SepNet, train_songs, val_songs, cfg: TrainConfig, seed_seq, 
             batch = _sample_batch(train_songs, cfg, window, rng_sample, rng_aug)
             loss, mse, _, grads = compute_loss(net, batch, cfg)
             adam_step(params, grads, state, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_epsilon)
-            _check_finite(loss, params, epoch, iteration)
+            _check_finite(loss, net, epoch, iteration)
             mse_sum += mse
         val, penalty_now = _validation_loss(net, val_songs, cfg, lam, epoch)
         val_loss = val + penalty_now
-        records.append(
-            EpochRecord(
-                epoch,
-                mse_sum / cfg.iterations_per_epoch,
-                penalty_now,
-                val_loss,
-                lam,
-                time.perf_counter() - started,
-                val,
-            )
-        )
+        records.append(EpochRecord(epoch, mse_sum / cfg.iterations_per_epoch, penalty_now, val_loss, lam,
+                                   time.perf_counter() - started, val))
         if val_loss < best.best_val_loss:
             best = TrainResult(net.clone(), best.log, epoch, val_loss)
         if epoch - max(best.best_epoch, start) >= cfg.patience_epochs:

@@ -98,20 +98,17 @@ def finite_difference_gradient(func, weights, h=1e-6):
 
 
 def finite_difference_flat(func, params, h=1e-6):
-    """Central differences over a list of parameter arrays; func takes the list."""
-    grads = []
-    for a, array in enumerate(params):
-        g = np.zeros_like(array)
-        for idx in np.ndindex(array.shape):
-            saved = array[idx]
-            array[idx] = saved + h
-            up = func(params)
-            array[idx] = saved - h
-            down = func(params)
-            array[idx] = saved
-            g[idx] = (up - down) / (2.0 * h)
-        grads.append(g)
-    return grads
+    """Central differences over one parameter array, each entry perturbed in place; func takes the array."""
+    grad = np.zeros_like(params)
+    for idx in np.ndindex(params.shape):
+        saved = params[idx]
+        params[idx] = saved + h
+        up = func(params)
+        params[idx] = saved - h
+        down = func(params)
+        params[idx] = saved
+        grad[idx] = (up - down) / (2.0 * h)
+    return grad
 
 
 def max_relative_error(analytic, reference, floor=1e-8):

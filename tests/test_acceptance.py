@@ -212,15 +212,13 @@ class TestAcceptance:
             assert np.max(np.abs((vocals + accompaniment) - mixture)) <= 2.3e-16
 
         twin = init_net(config)
-        for a, b in zip(net.parameters(), twin.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(net.parameters(), twin.parameters())
         vocals, _ = forward_batch(net, mixtures)
         twin_vocals, _ = forward_batch(twin, mixtures)
         np.testing.assert_array_equal(twin_vocals, vocals)
         r1 = train(init_net(config), _memory_split(7, length=128), cfg)
         r2 = train(init_net(config), _memory_split(7, length=128), cfg)
-        for a, b in zip(r1.net.parameters(), r2.net.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(r1.net.parameters(), r2.net.parameters())
 
     @_gated(6, "distortion-ratio suite")
     def test_6_sdr_suite(self):

@@ -358,6 +358,19 @@ class TestMalformedInput:
         self._check(["evaluate", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
                      "--report", str(tmp_path / "r.csv")], "depth", capsys)
 
+    @pytest.mark.parametrize("layer, part, value", [(0, "weights", np.nan), (-1, "bias", np.inf)],
+                             ids=["nan_weights", "inf_output_bias"])
+    def test_nonfinite_checkpoint(self, pipeline, tmp_path, capsys, layer, part, value):
+        """A NaN weight would score as nan SDRs, an inf output bias as finite, meaningless ones: evaluate refuses
+        either, naming the layer and the part, and writes no report."""
+        net = load_checkpoint(pipeline["ckpt"])
+        getattr(net.layers[layer], part).reshape(-1)[0] = value
+        ckpt, report = tmp_path / "bad.ckpt", tmp_path / "r.csv"
+        save_checkpoint(net, ckpt)
+        self._check(["evaluate", "--ckpt", str(ckpt), "--data", str(pipeline["data"]), "--report", str(report)],
+                    f"layer {layer % len(net.layers)} {part}", capsys)
+        assert not report.exists()
+
     @pytest.mark.parametrize("layers", [5, None, [1, 2, 3, 4]], ids=["int", "null", "ints"])
     def test_checkpoint_header_layers(self, pipeline, tmp_path, capsys, layers):
         ckpt = self._edited_checkpoint(pipeline, tmp_path, "layers", layers)

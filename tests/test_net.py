@@ -1,5 +1,7 @@
 """Tests for the separation network: shapes, exact backprop, checkpoints."""
 
+import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
@@ -16,18 +18,19 @@ from hypersep.errors import (
 )
 from hypersep.net import (
     NetConfig,
+    _add_param_grads,
     _add_two_phase,
+    _add_two_phase_grads,
     _bias_grad,
     _conv_forward,
     _conv_input_grad,
-    _conv_param_grads,
     _conv_step,
     _gap,
     _layer_plan,
     _leaky,
     _taps,
-    _two_phase_grads,
     _upsample,
+    _views,
     _windows_per_call,
     backward_batch,
     collect_filter_banks,
@@ -139,7 +142,46 @@ class TestConfig:
         assert cfg.bottleneck_features() == 120
 
 
+def assert_layers_tile(net):
+    """Every layer's weights, then its bias, are C-contiguous views of consecutive slices of net.parameters(), in
+    _layer_plan order, with no gap and nothing left over."""
+    vector, start = net.parameters(), 0
+    assert vector.dtype == np.float64 and vector.ndim == 1
+    assert len(net.layers) == len(_layer_plan(net.config))
+    for layer, (role, level, c_in, c_out, kernel) in zip(net.layers, _layer_plan(net.config)):
+        assert (layer.role, layer.level, layer.weights.shape, layer.bias.shape) == (role, level,
+                                                                                   (c_out, c_in, kernel), (c_out,))
+        for part in (layer.weights, layer.bias):
+            assert np.shares_memory(part, vector) and part.flags.c_contiguous
+            assert part.ctypes.data == vector.ctypes.data + 8 * start
+            start += part.size
+    assert start == vector.size
+
+
 class TestInit:
+    def test_layers_tile_the_parameter_vector(self):
+        """init_net's and clone's layers are views of their own net's vector; a clone shares no memory."""
+        net = init_net(NetConfig(depth=3, base_features=8, input_len=1024, seed=0))
+        twin = net.clone()
+        assert_layers_tile(net)
+        assert_layers_tile(twin)
+        assert not np.shares_memory(net.parameters(), twin.parameters())
+        np.testing.assert_array_equal(net.parameters(), twin.parameters())
+
+    def test_layer_arrays_are_written_in_place_never_rebound(self):
+        """Rebinding weights or bias would detach the layer from the vector, so it raises; in-place writes reach
+        the vector."""
+        net = init_net(tiny_config(seed=5))
+        layer = net.layers[1]
+        for part in ("weights", "bias"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(layer, part, np.zeros_like(getattr(layer, part)))
+        layer.weights[:] = 0.0
+        layer.bias[:] = 2.0
+        start = net.layers[0].weights.size + net.layers[0].bias.size
+        w, b = np.split(net.parameters()[start : start + layer.weights.size + layer.bias.size], [layer.weights.size])
+        assert not w.any() and (b == 2.0).all()
+
     def test_layer_plan_shapes_depth4(self):
         net = init_net(NetConfig(depth=4, base_features=24, input_len=16384, seed=0))
         roles = [(l.role, l.level, l.weights.shape) for l in net.layers]
@@ -212,10 +254,10 @@ def conv_forward(x, w, b):
 
 
 def conv_backward(x, w, d):
-    xs, ds, conv = gapped(x), gapped(d), conv_step(w, x)
-    d_taps, d_bias = _conv_param_grads(xs, ds, conv.forward.shifts, PAD), _bias_grad(ds, PAD)
+    xs, ds, conv, d_weights = gapped(x), gapped(d), conv_step(w, x), np.zeros(w.shape)
+    _add_param_grads(d_weights, xs, ds, conv.forward.shifts, PAD)
     d_input = _conv_input_grad(np.empty_like(xs), _taps(w), ds, conv.adjoint, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
-    return d_taps.transpose(1, 2, 0), d_bias, d_input
+    return d_weights, _bias_grad(ds, PAD), d_input
 
 
 # An up conv reads a (B, C_low, L) lower input a at the low rate and a (B, C_out, 2L)
@@ -229,15 +271,15 @@ def up_conv_forward(a, s, w, b):
 
 def up_conv_backward(a, s, w, d):
     """(d_weights, d_bias, d_a, d_s) as backward_batch takes them, given d_out d."""
-    low, conv = a.shape[1], conv_step(w, a, a.shape[1])
-    d_skip, d_bias, d_s = conv_backward(s, w[:, low:], d)
+    low, conv, d_weights = a.shape[1], conv_step(w, a, a.shape[1]), np.zeros(w.shape)
+    d_weights[:, low:], d_bias, d_s = conv_backward(s, w[:, low:], d)
     d_phases = np.zeros((2 * w.shape[0], len(a), a.shape[2] + 2 * PAD))
     d_phases[: w.shape[0], :, PAD:-PAD] = d[:, :, 0::2].transpose(1, 0, 2)
     d_phases[w.shape[0] :, :, PAD:-PAD] = d[:, :, 1::2].transpose(1, 0, 2)
     xs = gapped(a)
     d_xs = np.empty_like(xs)
-    d_low = _two_phase_grads(xs, d_phases, _taps(w[:, :low]), d_xs, conv, PAD).transpose(1, 2, 0)
-    return np.concatenate([d_low, d_skip], axis=1), d_bias, d_xs[:, :, PAD:-PAD].transpose(1, 0, 2), d_s
+    _add_two_phase_grads(d_weights[:, :low], xs, d_phases, _taps(w[:, :low]), d_xs, conv, PAD)
+    return d_weights, d_bias, d_xs[:, :, PAD:-PAD].transpose(1, 0, 2), d_s
 
 
 def up_reference(a, s, w, b):
@@ -439,7 +481,8 @@ class TestBackward:
             return float(np.sum(vocals * cotangent))
 
         vocals, cache = forward_batch(net, mixtures)
-        analytic = backward_batch(net, cache, cotangent)
+        analytic = np.zeros_like(params)
+        backward_batch(net, cache, cotangent, analytic)
         fd = oracles.finite_difference_flat(objective, params, h=1e-6)
         # h=1e-6 central differences bottom out around 1e-5 relative noise
         # on this net; the analytic result is the more accurate side.
@@ -447,14 +490,17 @@ class TestBackward:
         assert err < 2e-5, f"max rel err {err:.3e}"
 
     def test_gradient_shapes_match_parameters(self):
+        """The gradient vector must be shaped as the parameters; backward adds into it, not over it."""
         net = init_net(tiny_config(seed=10))
         mixtures = np.random.default_rng(78).uniform(-1, 1, (3, 16))
         vocals, cache = forward_batch(net, mixtures)
-        grads = backward_batch(net, cache, np.ones_like(vocals))
-        params = net.parameters()
-        assert len(grads) == len(params)
-        for g, p in zip(grads, params):
-            assert g.shape == p.shape
+        with pytest.raises(ShapeMismatch, match="gradient"):
+            backward_batch(net, cache, np.ones_like(vocals), np.zeros(net.parameters().size - 1))
+        once = np.zeros_like(net.parameters())
+        backward_batch(net, cache, np.ones_like(vocals), once)
+        twice = once.copy()
+        backward_batch(net, forward_batch(net, mixtures)[1], np.ones_like(vocals), twice)
+        np.testing.assert_array_equal(twice, once + once)
 
     def test_no_input_gradient_for_the_first_conv(self, monkeypatch):
         """One input-gradient tap loop per conv but the first, and one more per up conv, for its skip:
@@ -463,7 +509,7 @@ class TestBackward:
         vocals, cache = forward_batch(net, np.random.default_rng(79).uniform(-1, 1, (2, 16)))
         rows, loop = [], net_module._shifted_sum
         monkeypatch.setattr(net_module, "_shifted_sum", lambda out, *a: rows.append(len(out)) or loop(out, *a))
-        backward_batch(net, cache, np.ones_like(vocals))
+        backward_batch(net, cache, np.ones_like(vocals), np.zeros_like(net.parameters()))
         assert len(rows) == len(net.layers) - 1 + sum(layer.role == "up" for layer in net.layers)
         assert 1 not in rows
 
@@ -484,17 +530,18 @@ class TestBackward:
         mixtures = rng.uniform(-1, 1, (3, config.input_len))
         cotangent = rng.standard_normal(mixtures.shape)
         vocals, cache = forward_batch(net, mixtures)
-        grads = backward_batch(net, cache, cotangent)
+        grad = np.zeros_like(net.parameters())
+        backward_batch(net, cache, cotangent, grad)
         np.testing.assert_allclose(vocals[0], reference_vocals(net, mixtures[0]), rtol=1e-12, atol=1e-15)
-        summed = [np.zeros_like(p) for p in net.parameters()]
+        summed = np.zeros_like(grad)
         for i in range(3):
             alone, cache = forward_batch(net, mixtures[i : i + 1])
             np.testing.assert_allclose(vocals[i], alone[0], rtol=1e-12)
-            for total, g in zip(summed, backward_batch(net, cache, cotangent[i : i + 1])):
-                total += g
-        for g, total in zip(grads, summed):
-            # Entries that cancel to near zero are held to 1e-12 of the largest.
-            np.testing.assert_allclose(g, total, rtol=1e-12, atol=1e-12 * np.abs(total).max())
+            backward_batch(net, cache, cotangent[i : i + 1], summed)
+        for layer, total in zip(_views(config, grad), _views(config, summed)):
+            for g, t in ((layer.weights, total.weights), (layer.bias, total.bias)):
+                # Entries that cancel to near zero are held to 1e-12 of the array's largest.
+                np.testing.assert_allclose(g, t, rtol=1e-12, atol=1e-12 * np.abs(t).max())
 
     def test_no_pass_upsamples(self, monkeypatch):
         """Up convs read their lower input at the low rate in both passes: nothing builds it upsampled."""
@@ -506,26 +553,27 @@ class TestBackward:
         config = NetConfig(depth=3, base_features=8, input_len=1024, seed=0)
         net = init_net(config)
         vocals, cache = forward_batch(net, np.random.default_rng(85).uniform(-1, 1, (8, config.input_len)))
-        grads = backward_batch(net, cache, np.ones_like(vocals))
-        assert all(np.all(np.isfinite(g)) for g in grads)
+        grad = np.zeros_like(net.parameters())
+        backward_batch(net, cache, np.ones_like(vocals), grad)
+        assert np.isfinite(grad).all()
 
     def test_cotangent_shape_checked(self):
         net = init_net(tiny_config())
         vocals, cache = forward_batch(net, np.zeros((2, 16)))
         with pytest.raises(ShapeMismatch):
-            backward_batch(net, cache, np.zeros((3, 16)))
+            backward_batch(net, cache, np.zeros((3, 16)), np.zeros_like(net.parameters()))
 
     def test_backward_consumes_the_cache(self):
         """Backward releases every activation; reusing the cache fails by name, the vocals stay."""
         net = init_net(tiny_config(seed=13))
         vocals, cache = forward_batch(net, np.random.default_rng(81).uniform(-1, 1, (2, 16)))
-        kept = vocals.copy()
-        backward_batch(net, cache, np.ones_like(vocals))
+        kept, grad = vocals.copy(), np.zeros_like(net.parameters())
+        backward_batch(net, cache, np.ones_like(vocals), grad)
         assert len(cache.activations) == len(net.layers)
         assert all(act is None for act in cache.activations)
         assert issubclass(ConsumedCache, HypersepError)
         with pytest.raises(ConsumedCache, match="already consumed"):
-            backward_batch(net, cache, np.ones_like(vocals))
+            backward_batch(net, cache, np.ones_like(vocals), grad)
         with pytest.raises(ConsumedCache, match="already consumed"):
             cache.vocals
         for idx in range(len(net.layers)):
@@ -543,15 +591,17 @@ class TestBackward:
     )
     def test_backward_peak_stays_near_the_forward_peak(self, config, batch):
         """Backward frees each activation and each conv's rebuilt input once read, so its traced
-        peak, the cache included, stays within 1.25x of the forward pass's."""
+        peak, the cache included, stays within 1.25x of the forward pass's. The gradient vector, like the
+        parameters, is made before tracing: compute_loss holds it through every chunk of a step."""
         net = init_net(config)
         mixtures = np.random.default_rng(82).uniform(-1, 1, (batch, config.input_len))
+        grad = np.zeros_like(net.parameters())
         tracemalloc.start()
         try:
             vocals, cache = forward_batch(net, mixtures)
             forward_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            backward_batch(net, cache, np.ones_like(vocals))
+            backward_batch(net, cache, np.ones_like(vocals), grad)
             backward_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -566,12 +616,13 @@ class TestBackward:
         net = init_net(config)
         windows = _windows_per_call(TrainConfig().batch_size, config.input_len)
         mixtures = np.random.default_rng(82).uniform(-1, 1, (windows, config.input_len))
+        grad = np.zeros_like(net.parameters())  # the caller's, held through a whole step: made before tracing
         tracemalloc.start()
         try:
             vocals, cache = forward_batch(net, mixtures)
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            backward_batch(net, cache, np.ones_like(vocals))
+            backward_batch(net, cache, np.ones_like(vocals), grad)
             backward_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -687,6 +738,29 @@ class TestCheckpoint:
             assert a.role == b.role and a.level == b.level
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
+
+    def test_parameter_block_is_the_vector_and_loads_as_views(self, tmp_path):
+        """The bytes after the header are the vector's little-endian float64s; the loaded layers view the loaded
+        vector."""
+        net = init_net(tiny_config(seed=13))
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", blob, 5)
+        assert blob[9 + hlen :] == net.parameters().astype("<f8").tobytes()
+        loaded = load_checkpoint(path)
+        assert_layers_tile(loaded)
+        np.testing.assert_array_equal(loaded.parameters(), net.parameters())
+
+    @pytest.mark.parametrize("layer, part, value", [(0, "weights", np.nan), (-1, "bias", np.inf)],
+                             ids=["nan_weights", "inf_bias"])
+    def test_nonfinite_parameters_rejected_naming_the_layer(self, tmp_path, layer, part, value):
+        net = init_net(tiny_config(seed=13))
+        getattr(net.layers[layer], part).reshape(-1)[-1] = value
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        with pytest.raises(CorruptHeader, match=f"non-finite parameters in layer {layer % len(net.layers)} {part}"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

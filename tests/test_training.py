@@ -247,39 +247,41 @@ class TestConfig:
 
 class TestAdam:
     def test_first_step_delta(self):
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         state = AdamState.for_params(p)
-        adam_step(p, [np.array([1.0])], state, lr=1e-4)
-        assert p[0][0] == pytest.approx(-1e-4 / (1.0 + 1e-8), rel=1e-12)
+        adam_step(p, np.array([1.0]), state, lr=1e-4)
+        assert p[0] == pytest.approx(-1e-4 / (1.0 + 1e-8), rel=1e-12)
         assert state.step == 1
 
     def test_zero_gradient_keeps_parameters(self):
         rng = np.random.default_rng(81)
-        p = [rng.standard_normal((3, 2))]
-        before = p[0].copy()
+        p = rng.standard_normal(6)
+        before = p.copy()
         state = AdamState.for_params(p)
         for _ in range(5):
-            adam_step(p, [np.zeros((3, 2))], state, lr=0.1)
-        assert np.array_equal(p[0], before)
+            adam_step(p, np.zeros(6), state, lr=0.1)
+        assert np.array_equal(p, before)
 
     def test_quadratic_trajectory_matches_scalar_oracle(self):
         """10 steps on f(x) = x**2 from x = 1 with lr 0.1."""
-        p = [np.array([1.0])]
+        p = np.array([1.0])
         state = AdamState.for_params(p)
         mine = []
         for _ in range(10):
-            adam_step(p, [2.0 * p[0]], state, lr=0.1)
-            mine.append(float(p[0][0]))
+            adam_step(p, 2.0 * p, state, lr=0.1)
+            mine.append(float(p[0]))
         expected = oracles.adam_scalar_trajectory(1.0, lambda x: 2.0 * x, lr=0.1, steps=10)
         np.testing.assert_allclose(mine, expected, rtol=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        p = [np.zeros((2, 2))]
+        """The gradient and both moments must be shaped as the parameter vector; nothing moves otherwise."""
+        p = np.zeros(4)
         state = AdamState.for_params(p)
         with pytest.raises(ShapeMismatch):
-            adam_step(p, [np.zeros(3)], state, lr=0.1)
+            adam_step(p, np.zeros(3), state, lr=0.1)
         with pytest.raises(ShapeMismatch):
-            adam_step(p, [np.zeros((2, 2)), np.zeros(1)], state, lr=0.1)
+            adam_step(np.zeros(5), np.zeros(5), state, lr=0.1)
+        assert state.step == 0
 
 
 class TestAugment:
@@ -320,16 +322,16 @@ class TestComputeLoss:
         vocals, cache = training.forward_batch(net, batch[0])
         err = vocals - batch[1]
         mse = float(np.mean(err * err))
-        expected = training.backward_batch(net, cache, (2.0 / err.size) * err)
+        expected = np.zeros_like(net.parameters())
+        training.backward_batch(net, cache, (2.0 / err.size) * err, expected)
 
         def no_banks(_net):
             raise AssertionError("collect_filter_banks called with the penalty off")
 
         monkeypatch.setattr(training, "collect_filter_banks", no_banks)
-        loss, got_mse, penalty, grads = compute_loss(net, batch, tiny_cfg(lambda_mode="off"))
+        loss, got_mse, penalty, grad = compute_loss(net, batch, tiny_cfg(lambda_mode="off"))
         assert (loss, got_mse, penalty) == (mse, mse, 0.0)
-        assert len(grads) == len(expected)
-        assert all(np.array_equal(g, e) for g, e in zip(grads, expected))
+        np.testing.assert_array_equal(grad, expected)
 
     def test_zero_net_on_zero_targets_isolates_penalty(self):
         net = tiny_net(seed=1)
@@ -373,15 +375,17 @@ class TestComputeLoss:
         vocals, cache = training.forward_batch(net, batch[0])
         err = vocals - batch[1]
         mse = float(np.mean(err * err))
-        expected = training.backward_batch(net, cache, (2.0 / err.size) * err)
+        expected = np.zeros_like(net.parameters())
+        training.backward_batch(net, cache, (2.0 / err.size) * err, expected)
         seen, run = [], training.forward_batch
         monkeypatch.setattr(training, "forward_batch", lambda *args: seen.append(len(args[1])) or run(*args))
         monkeypatch.setattr(net_module, "_CHUNK", chunk)
-        loss, got_mse, _, grads = compute_loss(net, batch, tiny_cfg(lambda_mode="off"))
+        loss, got_mse, _, grad = compute_loss(net, batch, tiny_cfg(lambda_mode="off"))
         assert seen == sizes
         assert abs(loss - mse) <= 1e-15 * mse and got_mse == loss
-        for g, e in zip(grads, expected):
-            assert np.abs(g - e).max() <= 1e-15 * np.abs(e).max()
+        for layer, whole in zip(net_module._views(net.config, grad), net_module._views(net.config, expected)):
+            for g, e in ((layer.weights, whole.weights), (layer.bias, whole.bias)):
+                assert np.abs(g - e).max() <= 1e-15 * np.abs(e).max()
 
     def test_peak_does_not_grow_with_the_batch(self):
         """Each chunk's cache is gone before the next chunk runs: a 3-chunk batch peaks as a 1-chunk one does."""
@@ -544,15 +548,17 @@ class TestDivergence:
         assert info.value.iteration is not None
 
     def test_nonfinite_parameter_names_its_layer(self, monkeypatch):
-        real_step = training.adam_step
+        real_step, net = training.adam_step, tiny_net(seed=4)
+        first, second = net.layers[:2]
+        bias = first.weights.size + first.bias.size + second.weights.size  # layer 1 bias[0] in the vector
 
         def poisoned_step(params, *args):
             real_step(params, *args)
-            params[3][0] = np.nan  # layer 1 bias
+            params[bias] = np.nan
 
         monkeypatch.setattr(training, "adam_step", poisoned_step)
         with pytest.raises(Diverged, match="layer 1 bias") as info:
-            train(tiny_net(seed=4), make_split(seed=1), tiny_cfg())
+            train(net, make_split(seed=1), tiny_cfg())
         assert (info.value.epoch, info.value.iteration, info.value.layer_id) == (1, 1, 1)
 
     def test_phase_two_divergence_carries_phase_one_epochs(self):
