@@ -18,16 +18,15 @@ skip conv of the encoder activation plus a two-phase conv of its low-rate
 lower input, whose taps give the even and odd outputs (_phase_taps), added
 into the output block by block, with two edge fixes per window.
 
-What depends only on the config and the batch size (each conv's stride, skip
-and shifts, the phase matrix, the edge fixes, whether a tap sum stacks its
-shifted inputs and how many columns a block takes) is built once per batch
-size into a program (_program) that both passes read. Each activation is
-written in place over its conv's gapped output, gaps zeroed, so a stride-1
-conv or skip reads it as it stands. The forward cache keeps those outputs
-only; backward reads the LeakyReLU slope off them (act > 0 exactly when
-pre > 0) and releases each. Every pass over many windows, training or
-inference, calls forward_batch on _windows_per_call of them at a time,
-whatever its batch size.
+Each conv's stride, skip and low-rate inputs follow from its role and level
+(_wiring), and each tap sum picks whether to stack its shifted inputs and
+how many columns a block takes from its operands' shapes (_shifted_sum).
+Each activation is written in place over its conv's gapped output, gaps
+zeroed, so a stride-1 conv or skip reads it as it stands. The forward cache
+keeps those outputs only; backward reads the LeakyReLU slope off them
+(act > 0 exactly when pre > 0) and releases each. Every pass over many
+windows, training or inference, calls forward_batch on _windows_per_call of
+them at a time, whatever its batch size.
 """
 
 import json
@@ -131,8 +130,6 @@ class SepNet:
     config: NetConfig
     vector: np.ndarray
     layers: list[ConvLayer] = field(init=False, repr=False, compare=False)
-    # forward_batch's _program for each batch size it has run.
-    programs: dict[int, list["_Conv"]] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.layers = _views(self.config, self.vector)
@@ -168,59 +165,13 @@ def _first_nonfinite(net: SepNet) -> tuple[int, str] | None:
     return i // 2, ("weights", "bias")[i % 2]
 
 
-@dataclass(frozen=True)
-class _Loop:
-    """How _shifted_sum runs one product: the shifts its taps read at, whether a block's shifted inputs are stacked
-    into one product, and the columns per block."""
-
-    shifts: list[int]
-    stack: bool
-    block: int
-
-
-def _loop(shifts: list[int], rows: int, c: int, n: int) -> _Loop:
-    """The _Loop of len(shifts) (rows, c) taps over n flat columns. With fewer input rows than output rows, or as
-    many and at most 512 rows to stack (small products, where one call beats K), a block's shifted inputs are stacked,
-    in blocks of at most _STACK elements but at least 512 columns; otherwise each tap's product is added in turn. No
-    block is wider than _BLOCK columns, or than n."""
-    stack = c < rows or (c == rows and len(shifts) * c <= 512)
-    block = min(_BLOCK, max(512, _STACK // (len(shifts) * c))) if stack else _BLOCK
-    return _Loop(shifts, stack, min(n, block))
-
-
-@dataclass(frozen=True)
-class _Conv:
-    """One conv of a program. It reads every stride-th sample of the previous conv's output (conv 0: the mixtures),
-    at the low rate through its first low input channels if it is an up conv, whose others read conv skip's output;
-    then LeakyReLU if leaky, else tanh. forward runs its full-rate part (the whole conv, or an up conv's skip conv) and
-    adjoint that part's input gradient; an up conv's two-phase part runs phase and phase_adjoint, from the matrix m of
-    _phase_matrix, with the edge fixes of _edges."""
-
-    stride: int
-    skip: int | None
-    low: int
-    leaky: bool
-    forward: _Loop
-    adjoint: _Loop
-    phase: _Loop | None = None
-    phase_adjoint: _Loop | None = None
-    m: np.ndarray | None = None
-    edges: list[np.ndarray] | None = None
-
-
-def _conv_step(shape: tuple[int, int, int], stride: int, skip: int | None, low: int, leaky: bool, t: int, batch: int,
-               pad: int) -> _Conv:
-    """The _Conv of a (C_out, C_in, K) conv with t outputs per window, over batch windows between gaps of pad."""
-    c_out, c_in, kernel = shape
-    shifts = list(range(-(kernel // 2), kernel // 2 + 1))
-    n = batch * (t + 2 * pad) - 2 * pad
-    full = _loop(shifts, c_out, c_in - low, n), _loop([-s for s in shifts], c_in - low, c_out, n)
-    if skip is None:
-        return _Conv(stride, skip, low, leaky, *full)
-    m, shifts = _phase_matrix(kernel)
-    n = batch * (t // 2 + 2 * pad) - 2 * pad
-    return _Conv(stride, skip, low, leaky, *full, _loop(shifts, 2 * c_out, low, n),
-                 _loop([-s for s in shifts], low, 2 * c_out, n), m, _edges(kernel, t))
+def _wiring(layer: ConvLayer) -> tuple[int, int | None, int]:
+    """(stride, skip, low) of a conv: it reads every stride-th sample of the previous conv's output (conv 0: the
+    mixtures), at the low rate through its first low input channels if it is an up conv, whose others read the output
+    of conv skip, the down conv of its level."""
+    if layer.role == "up":
+        return 1, layer.level - 1, layer.weights.shape[1] - layer.weights.shape[0]
+    return 2 if layer.role == "bottleneck" or (layer.role == "down" and layer.level > 1) else 1, None, 0
 
 
 def _gap(config: NetConfig) -> int:
@@ -228,25 +179,12 @@ def _gap(config: NetConfig) -> int:
     return (max(config.down_kernel, config.up_kernel, 3) - 1) // 2
 
 
-def _program(net: SepNet, batch: int) -> list[_Conv]:
-    """Every conv's _Conv for a batch of net.config.input_len windows: what both passes read, which only the
-    config and the batch size fix."""
-    t, program = net.config.input_len, []
-    for idx, layer in enumerate(net.layers):
-        stride, up = 2 if idx and net.layers[idx - 1].role == "down" else 1, layer.role == "up"
-        t = t // stride * (2 if up else 1)
-        low = layer.weights.shape[1] - layer.weights.shape[0] if up else 0
-        program.append(_conv_step(layer.weights.shape, stride, layer.level - 1 if up else None, low,
-                                  layer.role != "output", t, batch, _gap(net.config)))
-    return program
-
-
 @dataclass
 class ForwardCache:
-    """A batch's mixtures, its gap width, its program, and the gapped (C, B, T + 2 * pad) output of every conv so far,
+    """A batch's net layers, mixtures and gap width, and the gapped (C, B, T + 2 * pad) output of every conv so far,
     gaps zero; backward sets each to None once read for the last time."""
 
-    program: list[_Conv]
+    layers: list[ConvLayer]
     mixtures: np.ndarray | None
     pad: int
     activations: list[np.ndarray | None] = field(default_factory=list)
@@ -263,7 +201,7 @@ class ForwardCache:
         it is conv idx - 1's output itself; the mixtures, or every second sample of a down conv's output, are copied
         into a new buffer."""
         x = self.output(idx - 1)
-        if idx and self.program[idx].stride == 1:
+        if idx and _wiring(self.layers[idx])[0] == 1:
             return x
         x = _window(x, self.pad)[:, :, ::2] if idx else x
         xs = np.zeros(x.shape[:2] + (x.shape[2] + 2 * self.pad,))
@@ -275,12 +213,12 @@ class ForwardCache:
         """Every conv's full-rate input as one (B, C_in, T) array, [_upsample(lower); skip] for an up conv: the
         reference for what the convs compute, built on demand."""
         inputs = []
-        for idx, conv in enumerate(self.program):
-            x = _window(self.conv_input(idx), self.pad)
-            if conv.skip is not None:
+        for idx, layer in enumerate(self.layers):
+            x, skip = _window(self.conv_input(idx), self.pad), _wiring(layer)[1]
+            if skip is not None:
                 up = np.empty(x.shape[:2] + (2 * x.shape[2],))
                 _upsample(x, up)
-                x = np.concatenate([up, _window(self.output(conv.skip), self.pad)])
+                x = np.concatenate([up, _window(self.output(skip), self.pad)])
             inputs.append(x.transpose(1, 0, 2))
         return inputs
 
@@ -331,21 +269,25 @@ def _window(xs: np.ndarray, pad: int) -> np.ndarray:
     return xs[..., pad : xs.shape[-1] - pad]
 
 
-def _shifted_sum(out, taps: np.ndarray, xs: np.ndarray, loop: _Loop, pad: int, bias=None, sink=None) -> None:
-    """out[:, j] = sum_k taps[k] @ xs[:, j + loop.shifts[k]] (+ bias) for the flat columns j between the outer pads,
-    loop.block columns at a time; given a sink in place of out, each block is summed in scratch and handed on as
-    sink(c0, block), c0 its first column. A stacked loop copies a block's shifted inputs into one product; otherwise
-    each tap's product is added in turn."""
+def _shifted_sum(out, taps: np.ndarray, xs: np.ndarray, shifts: list[int], pad: int, bias=None, sink=None) -> None:
+    """out[:, j] = sum_k taps[k] @ xs[:, j + shifts[k]] (+ bias) for the flat columns j between the outer pads, a
+    block of columns at a time; given a sink in place of out, each block is summed in scratch and handed on as
+    sink(c0, block), c0 its first column. With fewer input rows than output rows, or as many and at most 512 rows to
+    stack (small products, where one call beats K), a block's shifted inputs are stacked into one product, in blocks
+    of at most _STACK elements but at least 512 columns; otherwise each tap's product is added in turn. No block is
+    wider than _BLOCK columns."""
     kernel, rows, c = taps.shape
-    n, shifts, width = xs.shape[1] - 2 * pad, loop.shifts, loop.block
+    n = xs.shape[1] - 2 * pad
+    stack = c < rows or (c == rows and kernel * c <= 512)
+    width = min(n, _BLOCK, max(512, _STACK // (kernel * c)) if stack else _BLOCK)
     # Both products take C-contiguous taps: BLAS rounds a transposed operand's product differently.
-    wide = np.ascontiguousarray(taps.transpose(1, 0, 2)).reshape(rows, kernel * c) if loop.stack else None
-    buf = np.empty((kernel * c if loop.stack else rows, width))
+    wide = np.ascontiguousarray(taps.transpose(1, 0, 2)).reshape(rows, kernel * c) if stack else None
+    buf = np.empty((kernel * c if stack else rows, width))
     scratch = None if sink is None else np.empty((rows, width))
     for c0 in range(pad, pad + n, width):
         c1 = min(c0 + width, pad + n)
         acc, part = out[:, c0:c1] if sink is None else scratch[:, : c1 - c0], buf[:, : c1 - c0]
-        if loop.stack:
+        if stack:
             for k, s in enumerate(shifts):
                 part[k * c : (k + 1) * c] = xs[:, c0 + s : c1 + s]
             np.matmul(wide, part, out=acc)
@@ -361,14 +303,20 @@ def _shifted_sum(out, taps: np.ndarray, xs: np.ndarray, loop: _Loop, pad: int, b
 
 
 def _taps(weights: np.ndarray) -> np.ndarray:
-    """A (C_out, C_in, K) conv's (K, C_out, C_in) tap stack; tap k reads at shift k - (K - 1) / 2."""
+    """A (C_out, C_in, K) conv's (K, C_out, C_in) tap stack; tap k reads at shift k - (K - 1) / 2 (_shifts)."""
     return weights.transpose(2, 0, 1)
 
 
-def _conv_forward(xs: np.ndarray, taps: np.ndarray, loop: _Loop, pad: int, bias=None) -> np.ndarray:
-    """The _shifted_sum of a gapped (C_in, B, T + 2 * pad) buffer, pad >= every |shift|, in a new such buffer."""
+def _shifts(kernel: int) -> list[int]:
+    """The shifts a same-padded conv's K taps read at."""
+    return list(range(-(kernel // 2), kernel // 2 + 1))
+
+
+def _conv_forward(xs: np.ndarray, taps: np.ndarray, pad: int, bias=None) -> np.ndarray:
+    """The _shifted_sum of a gapped (C_in, B, T + 2 * pad) buffer, pad >= every |shift|, at the taps' _shifts, in a
+    new such buffer."""
     ys = np.empty((taps.shape[1],) + xs.shape[1:])
-    _shifted_sum(ys.reshape(len(ys), -1), taps, xs.reshape(len(xs), -1), loop, pad, bias)
+    _shifted_sum(ys.reshape(len(ys), -1), taps, xs.reshape(len(xs), -1), _shifts(len(taps)), pad, bias)
     return ys
 
 
@@ -389,10 +337,11 @@ def _bias_grad(ds: np.ndarray, pad: int) -> np.ndarray:
     return sum(d.sum(axis=1) for d in _window(ds, pad).transpose(1, 0, 2))
 
 
-def _conv_input_grad(out: np.ndarray, taps: np.ndarray, ds: np.ndarray, loop: _Loop, pad: int) -> np.ndarray:
-    """d_input of _conv_forward, the exact adjoint of its sum over taps (loop: the adjoint's), written into out, a
-    gapped buffer shaped like the input, gaps zeroed."""
-    _shifted_sum(out.reshape(len(out), -1), taps.transpose(0, 2, 1), ds.reshape(len(ds), -1), loop, pad)
+def _conv_input_grad(out: np.ndarray, taps: np.ndarray, ds: np.ndarray, pad: int, shifts=None) -> np.ndarray:
+    """d_input of _conv_forward, or of a sum over taps read at shifts, the exact adjoint: the sum of the transposed
+    taps at the negated shifts, written into out, a gapped buffer shaped like the input, gaps zeroed."""
+    back = [-s for s in (_shifts(len(taps)) if shifts is None else shifts)]
+    _shifted_sum(out.reshape(len(out), -1), taps.transpose(0, 2, 1), ds.reshape(len(ds), -1), back, pad)
     out[:, :, :pad] = out[:, :, out.shape[2] - pad :] = 0.0
     return out
 
@@ -426,7 +375,7 @@ def _phases(y: np.ndarray) -> np.ndarray:
     return y.reshape(y.shape[:2] + (-1, 2)).transpose(3, 0, 1, 2)
 
 
-def _add_two_phase(ys: np.ndarray, xs: np.ndarray, w_taps: np.ndarray, conv: _Conv, pad: int) -> None:
+def _add_two_phase(ys: np.ndarray, xs: np.ndarray, w_taps: np.ndarray, pad: int) -> None:
     """Add to ys the conv by w_taps of _upsample(a), a the window of the gapped low-rate xs, without building it: one
     conv of a gives each block's even and odd outputs, added into ys as the block is done; then the edge fixes apply
     to every window at once."""
@@ -441,24 +390,25 @@ def _add_two_phase(ys: np.ndarray, xs: np.ndarray, w_taps: np.ndarray, conv: _Co
                 y[:, b, 2 * m0 : 2 * m1 : 2] += part[: len(y)]
                 y[:, b, 2 * m0 + 1 : 2 * m1 : 2] += part[len(y) :]
 
-    _shifted_sum(None, _phase_taps(w_taps, conv.m), xs.reshape(len(xs), -1), conv.phase, pad, sink=add)
-    cols, ks, src, weight = conv.edges
+    m, shifts = _phase_matrix(len(w_taps))
+    _shifted_sum(None, _phase_taps(w_taps, m), xs.reshape(len(xs), -1), shifts, pad, sink=add)
+    cols, ks, src, weight = _edges(len(w_taps), y.shape[2])
     fixes = weight[:, None, None] * w_taps[ks] @ a[:, :, src].transpose(2, 0, 1)
     np.add.at(y, (slice(None), slice(None), cols), fixes.transpose(1, 2, 0))
 
 
 def _add_two_phase_grads(out: np.ndarray, xs: np.ndarray, d_phases: np.ndarray, w_taps: np.ndarray, d_xs: np.ndarray,
-                         conv: _Conv, pad: int) -> None:
+                         pad: int) -> None:
     """Add d_weights of _add_two_phase, given its d_out's _phases in a gapped buffer, d_phases, and its gapped
     low-rate input xs, into out, (C_out, C_low, K); the input gradient is written into d_xs, a gapped buffer shaped
     like xs."""
-    d_a = _window(_conv_input_grad(d_xs, _phase_taps(w_taps, conv.m), d_phases, conv.phase_adjoint, pad), pad)
-    shifts, a = conv.phase.shifts, _window(xs, pad)
+    (m, shifts), a = _phase_matrix(len(w_taps)), _window(xs, pad)
+    d_a = _window(_conv_input_grad(d_xs, _phase_taps(w_taps, m), d_phases, pad, shifts), pad)
     d_taps = np.zeros((2 * out.shape[0], out.shape[1], len(shifts)))
     _add_param_grads(d_taps, xs, d_phases, shifts, pad)
     # The adjoint of taps[s, r] = sum_k M[r, k, s] w[k], as (K, C_out, C_low).
-    d_w_taps = np.tensordot(conv.m, d_taps.reshape(2, *out.shape[:2], len(shifts)), axes=([0, 2], [0, 3]))
-    cols, ks, src, weight = conv.edges
+    d_w_taps = np.tensordot(m, d_taps.reshape(2, *out.shape[:2], len(shifts)), axes=([0, 2], [0, 3]))
+    cols, ks, src, weight = _edges(len(w_taps), 2 * a.shape[2])
     g = weight[:, None, None] * _window(d_phases, pad).reshape((2, -1) + a.shape[1:])[cols % 2, :, :, cols // 2]
     np.add.at(d_w_taps, ks, g @ a[:, :, src].transpose(2, 1, 0))
     np.add.at(d_a, (slice(None), slice(None), src), (w_taps[ks].transpose(0, 2, 1) @ g).transpose(1, 2, 0))
@@ -508,22 +458,21 @@ def _windows_per_call(batch: int, input_len: int) -> int:
 
 
 def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Run a (B, input_len) batch, B from _windows_per_call in every pass; returns vocals and backward_batch's cache.
-    The batch size's program is built on its first call and kept in net.programs."""
+    """Run a (B, input_len) batch, B from _windows_per_call in every pass; returns vocals and backward_batch's
+    cache."""
     mixtures = np.asarray(mixtures, dtype=np.float64)
     if mixtures.ndim != 2 or mixtures.shape[1] != net.config.input_len:
         raise ShapeMismatch(f"expected batch shape (B, {net.config.input_len}), got {mixtures.shape}")
-    if len(mixtures) not in net.programs:
-        net.programs[len(mixtures)] = _program(net, len(mixtures))
-    cache = ForwardCache(net.programs[len(mixtures)], mixtures, _gap(net.config))
-    for idx, (layer, conv) in enumerate(zip(net.layers, cache.program)):
+    cache = ForwardCache(net.layers, mixtures, _gap(net.config))
+    for idx, layer in enumerate(net.layers):
+        _, skip, low = _wiring(layer)
         # The full-rate part: the whole conv, or an up conv's skip conv; then the up conv's two-phase part.
-        xs = cache.conv_input(idx) if conv.skip is None else cache.output(conv.skip)
-        ys = _conv_forward(xs, _taps(layer.weights[:, conv.low :]), conv.forward, cache.pad, layer.bias)
+        xs = cache.conv_input(idx) if skip is None else cache.output(skip)
+        ys = _conv_forward(xs, _taps(layer.weights[:, low:]), cache.pad, layer.bias)
         del xs  # a stride-2 copy, before the two-phase part runs
-        if conv.skip is not None:
-            _add_two_phase(ys, cache.conv_input(idx), _taps(layer.weights[:, : conv.low]), conv, cache.pad)
-        cache.activations.append(_activate(ys, conv.leaky, cache.pad))
+        if skip is not None:
+            _add_two_phase(ys, cache.conv_input(idx), _taps(layer.weights[:, :low]), cache.pad)
+        cache.activations.append(_activate(ys, layer.role != "output", cache.pad))
         del ys
     return cache.vocals, cache
 
@@ -542,31 +491,31 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray, grad:
     d_outs[-1] = np.zeros((1, len(d_vocals), d_vocals.shape[1] + 2 * pad))
     np.multiply(d_vocals, 1.0 - cache.vocals**2, out=_window(d_outs[-1], pad)[0])
     for idx in range(len(net.layers) - 1, -1, -1):
-        weights, conv, slot = net.layers[idx].weights, cache.program[idx], slots[idx]
+        layer, slot = net.layers[idx], slots[idx]
+        (stride, skip, low), weights = _wiring(layer), layer.weights
         ds, d_outs[idx] = d_outs[idx], None
-        if conv.leaky:
+        if layer.role != "output":
             _slope(ds, acts[idx])
         acts[idx] = None  # the convs that read it as input or skip have run backward already
         # The full-rate part, as in forward_batch.
-        xs = cache.conv_input(idx) if conv.skip is None else cache.output(conv.skip)
-        _add_param_grads(slot.weights[:, conv.low :], xs, ds, conv.forward.shifts, pad)
+        xs = cache.conv_input(idx) if skip is None else cache.output(skip)
+        _add_param_grads(slot.weights[:, low:], xs, ds, _shifts(weights.shape[2]), pad)
         slot.bias[:] += _bias_grad(ds, pad)
         if idx:  # nothing reads the mixtures' gradient
-            taps = _taps(weights[:, conv.low :])
-            if conv.stride == 1:  # the skip's first part, or conv idx - 1's only reader's: xs is an activation
-                d_outs[idx - 1 if conv.skip is None else conv.skip] = _conv_input_grad(
-                    np.empty_like(xs), taps, ds, conv.adjoint, pad)
+            taps = _taps(weights[:, low:])
+            if stride == 1:  # the skip's first part, or conv idx - 1's only reader's: xs is an activation
+                d_outs[idx - 1 if skip is None else skip] = _conv_input_grad(np.empty_like(xs), taps, ds, pad)
             else:  # a down conv's output, whose skip part came first; xs is a copy, free to write over
-                _conv_input_grad(xs, taps, ds, conv.adjoint, pad)
+                _conv_input_grad(xs, taps, ds, pad)
                 _window(d_outs[idx - 1], pad)[:, :, ::2] += _window(xs, pad)
         del xs
-        if conv.skip is not None:  # the two-phase part: ds is released before the input gradient's buffer is made
-            w_taps, xs = _taps(weights[:, : conv.low]), cache.conv_input(idx)
+        if skip is not None:  # the two-phase part: ds is released before the input gradient's buffer is made
+            w_taps, xs = _taps(weights[:, :low]), cache.conv_input(idx)
             d_phases = np.zeros((2 * len(ds),) + xs.shape[1:])
             _window(d_phases.reshape((2, len(ds)) + xs.shape[1:]), pad)[:] = _phases(_window(ds, pad))
             ds = None
             d_outs[idx - 1] = np.empty_like(xs)
-            _add_two_phase_grads(slot.weights[:, : conv.low], xs, d_phases, w_taps, d_outs[idx - 1], conv, pad)
+            _add_two_phase_grads(slot.weights[:, :low], xs, d_phases, w_taps, d_outs[idx - 1], pad)
             del xs, d_phases
         ds = None  # before the next conv's input is built
     cache.mixtures = None

@@ -117,11 +117,14 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
     m, v = state.first, state.second
+    step, denom = np.empty_like(params), np.empty_like(params)  # every product is written into one of these two
     m *= beta1
-    m += (1.0 - beta1) * grads
+    m += np.multiply(1.0 - beta1, grads, out=step)
     v *= beta2
-    v += (1.0 - beta2) * grads * grads
-    params -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    v += np.multiply(np.multiply(1.0 - beta2, grads, out=step), grads, out=step)
+    np.multiply(np.divide(m, c1, out=step), lr, out=step)
+    np.add(np.sqrt(np.divide(v, c2, out=denom), out=denom), eps, out=denom)
+    params -= np.divide(step, denom, out=step)
 
 
 def augment(vocals: np.ndarray, accompaniment: np.ndarray, rng: np.random.Generator, low: float = 0.7,

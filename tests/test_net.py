@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypersep import net as net_module
+from hypersep import net as net_module, training
 from hypersep.errors import (
     ConsumedCache,
     CorruptHeader,
@@ -17,6 +17,7 @@ from hypersep.errors import (
     ShapeMismatch,
 )
 from hypersep.net import (
+    GROWTH_MODES,
     NetConfig,
     _add_param_grads,
     _add_two_phase,
@@ -24,14 +25,15 @@ from hypersep.net import (
     _bias_grad,
     _conv_forward,
     _conv_input_grad,
-    _conv_step,
     _gap,
     _layer_plan,
     _leaky,
+    _shifts,
     _taps,
     _upsample,
     _views,
     _windows_per_call,
+    _wiring,
     backward_batch,
     collect_filter_banks,
     forward_batch,
@@ -198,6 +200,25 @@ class TestInit:
             ("output", 0, (1, 24, 1)),
         ]
 
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("growth", GROWTH_MODES)
+    @pytest.mark.parametrize("own", [False, True], ids=["shared", "own"])
+    def test_wiring_follows_the_previous_layer(self, depth, growth, own):
+        """Each conv's (stride, skip, low) from its role and level: stride 2 exactly after a down conv; an up conv's
+        skip is the down conv of its level, as wide as its output, and its low-rate input channels are the previous
+        conv's outputs."""
+        config = NetConfig(depth=depth, base_features=3, growth=growth, input_len=2**depth, bottleneck_own_layer=own)
+        layers = init_net(config).layers
+        for idx, layer in enumerate(layers):
+            stride, skip, low = _wiring(layer)
+            assert stride == (2 if idx and layers[idx - 1].role == "down" else 1)
+            if layer.role == "up":
+                assert (layers[skip].role, layers[skip].level) == ("down", layer.level)
+                assert layers[skip].weights.shape[0] == layer.weights.shape[0]
+                assert low == layers[idx - 1].weights.shape[0]
+            else:
+                assert (skip, low) == (None, 0)
+
     def test_seed_determinism_and_divergence(self):
         a = init_net(tiny_config(seed=7))
         b = init_net(tiny_config(seed=7))
@@ -242,43 +263,36 @@ def gapped(x):
     return xs
 
 
-def conv_step(w, x, low=0):
-    """The program step of a plain conv by w of the (B, C, T) x; of an up conv if low > 0, x its lower input."""
-    if low:
-        return _conv_step(w.shape, 1, 0, low, True, 2 * x.shape[2], len(x), PAD)
-    return _conv_step(w.shape, 1, None, 0, True, x.shape[2], len(x), PAD)
-
-
 def conv_forward(x, w, b):
-    return _conv_forward(gapped(x), _taps(w), conv_step(w, x).forward, PAD, b)[:, :, PAD:-PAD].transpose(1, 0, 2)
+    return _conv_forward(gapped(x), _taps(w), PAD, b)[:, :, PAD:-PAD].transpose(1, 0, 2)
 
 
 def conv_backward(x, w, d):
-    xs, ds, conv, d_weights = gapped(x), gapped(d), conv_step(w, x), np.zeros(w.shape)
-    _add_param_grads(d_weights, xs, ds, conv.forward.shifts, PAD)
-    d_input = _conv_input_grad(np.empty_like(xs), _taps(w), ds, conv.adjoint, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
+    xs, ds, d_weights = gapped(x), gapped(d), np.zeros(w.shape)
+    _add_param_grads(d_weights, xs, ds, _shifts(w.shape[2]), PAD)
+    d_input = _conv_input_grad(np.empty_like(xs), _taps(w), ds, PAD)[:, :, PAD:-PAD].transpose(1, 0, 2)
     return d_weights, _bias_grad(ds, PAD), d_input
 
 
 # An up conv reads a (B, C_low, L) lower input a at the low rate and a (B, C_out, 2L)
 # skip s; its weights' first C_low input channels read a, the rest s.
 def up_conv_forward(a, s, w, b):
-    low, conv = a.shape[1], conv_step(w, a, a.shape[1])
-    ys = _conv_forward(gapped(s), _taps(w[:, low:]), conv.forward, PAD, b)
-    _add_two_phase(ys, gapped(a), _taps(w[:, :low]), conv, PAD)
+    low = a.shape[1]
+    ys = _conv_forward(gapped(s), _taps(w[:, low:]), PAD, b)
+    _add_two_phase(ys, gapped(a), _taps(w[:, :low]), PAD)
     return ys[:, :, PAD:-PAD].transpose(1, 0, 2)
 
 
 def up_conv_backward(a, s, w, d):
     """(d_weights, d_bias, d_a, d_s) as backward_batch takes them, given d_out d."""
-    low, conv, d_weights = a.shape[1], conv_step(w, a, a.shape[1]), np.zeros(w.shape)
+    low, d_weights = a.shape[1], np.zeros(w.shape)
     d_weights[:, low:], d_bias, d_s = conv_backward(s, w[:, low:], d)
     d_phases = np.zeros((2 * w.shape[0], len(a), a.shape[2] + 2 * PAD))
     d_phases[: w.shape[0], :, PAD:-PAD] = d[:, :, 0::2].transpose(1, 0, 2)
     d_phases[w.shape[0] :, :, PAD:-PAD] = d[:, :, 1::2].transpose(1, 0, 2)
     xs = gapped(a)
     d_xs = np.empty_like(xs)
-    _add_two_phase_grads(d_weights[:, :low], xs, d_phases, _taps(w[:, :low]), d_xs, conv, PAD)
+    _add_two_phase_grads(d_weights[:, :low], xs, d_phases, _taps(w[:, :low]), d_xs, PAD)
     return d_weights, d_bias, d_xs[:, :, PAD:-PAD].transpose(1, 0, 2), d_s
 
 
@@ -341,18 +355,18 @@ class TestConvAndResampling:
     def test_stacked_block_is_capped_by_bytes(self):
         """The paper bottleneck conv (192 -> 384 channels, K = 15) over 4 windows of 1024 stacks blocks of at most
         16 MiB, not 15 * 192 rows by 4096 columns (90 MiB): its forward peaks at its output, one copy of its taps
-        and the block."""
+        and the block. At least 15 MiB of block shows that it stacked: a tap at a time holds one 384 by 4096 product
+        (12 MiB) and one tap's copy."""
         rng = np.random.default_rng(86)
         x, w = rng.standard_normal((4, 192, 1024)), rng.standard_normal((384, 192, 15))
-        xs, conv = gapped(x), conv_step(w, x)
+        xs = gapped(x)
         tracemalloc.start()
         try:
-            ys = _conv_forward(xs, _taps(w), conv.forward, PAD)
+            ys = _conv_forward(xs, _taps(w), PAD)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert conv.forward.stack
-        assert peak <= ys.nbytes + w.nbytes + 16 * 2**20 + 2**18, f"{peak} B"
+        assert ys.nbytes + w.nbytes + 15 * 2**20 <= peak <= ys.nbytes + w.nbytes + 16 * 2**20 + 2**18, f"{peak} B"
 
     def test_kernel_one_conv_is_channel_mix(self):
         rng = np.random.default_rng(72)
@@ -706,20 +720,25 @@ class TestSeparateSignal:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], f"separation {peaks[1]} B, one chunk's forward {peaks[0]} B"
 
-    def test_program_is_built_once_per_batch_shape(self, monkeypatch):
+    def test_every_pass_calls_forward_batch_per_chunk(self, monkeypatch):
         """Two 8-window training steps run four chunks of 2 windows each, a separation of 10 windows and a tail runs
-        five chunks of 2 and one of 1: one program for 2 windows and one for 1, kept on the net."""
+        five chunks of 2 and one of 1."""
         config = NetConfig(depth=4, base_features=4, input_len=16384, seed=0)
         net = init_net(config)
-        built, build = [], net_module._program
-        monkeypatch.setattr(net_module, "_program", lambda *args: built.append(args[1]) or build(*args))
+        seen, run = [], net_module.forward_batch
+
+        def record(*args):
+            seen.append(len(args[1]))
+            return run(*args)
+
+        monkeypatch.setattr(net_module, "forward_batch", record)
+        monkeypatch.setattr(training, "forward_batch", record)
         rng = np.random.default_rng(92)
         batch = rng.uniform(-1, 1, (2, 8, config.input_len))
         for _ in range(2):
             compute_loss(net, (batch[0], batch[1]), TrainConfig(batch_size=8, lambda_mode="off"))
         separate_signal(net, rng.uniform(-1, 1, 10 * config.input_len + 100))
-        assert built == [2, 1]
-        assert sorted(net.programs) == [1, 2]
+        assert seen == [2] * 13 + [1]
 
     def test_empty_signal_rejected(self):
         net = init_net(tiny_config())

@@ -273,6 +273,15 @@ class TestAdam:
         expected = oracles.adam_scalar_trajectory(1.0, lambda x: 2.0 * x, lr=0.1, steps=10)
         np.testing.assert_allclose(mine, expected, rtol=1e-12)
 
+    def test_update_holds_at_most_two_vector_sized_temporaries(self):
+        """One update over a 2^20-element vector (8 MiB) traces at most 2 vectors + 1 MiB above the parameters,
+        gradient and moments: three vector-sized temporaries at once would exceed it."""
+        rng = np.random.default_rng(87)
+        p, g = rng.standard_normal(2**20), rng.standard_normal(2**20)
+        state = AdamState.for_params(p)
+        peak = traced_peak(lambda: adam_step(p, g, state, lr=1e-4))
+        assert peak <= 2 * p.nbytes + 2**20, f"{peak} B"
+
     def test_shape_mismatch_rejected(self):
         """The gradient and both moments must be shaped as the parameter vector; nothing moves otherwise."""
         p = np.zeros(4)
