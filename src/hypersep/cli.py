@@ -28,17 +28,6 @@ from .training import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit code 1."""
-
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _cmd_gen_data(args) -> int:
     manifest = generate_dataset(args.songs, args.seconds, args.rate, args.seed, args.out)
     sizes = {name: len(names) for name, names in manifest.splits.items()}
@@ -143,8 +132,8 @@ def _cmd_energy_inspect(args) -> int:
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hypersep", description=__doc__.splitlines()[0])
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="hypersep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     gen = sub.add_parser("gen-data", help="synthesize a seeded two-source dataset")
@@ -185,17 +174,18 @@ def build_parser() -> _Parser:
     ins.add_argument("--out", default=None, help="CSV output path (default: print to stdout)")
     ins.set_defaults(func=_cmd_energy_inspect)
 
+    for command in sub.choices.values():  # an unknown flag is then reported with its command's usage
+        command.set_defaults(parser=command)
     return parser
 
 
 def cli(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"hypersep: error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # argparse exits directly for -h/--help
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    except SystemExit as exc:  # argparse exits 0 for -h/--help and 2, after printing usage, for a usage error
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)

@@ -14,7 +14,7 @@ median/MAD over song medians, SD over song means) and pooled statistics
 over all segments of all songs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -97,24 +97,18 @@ class SdrReport:
 
     def write_csv(self, path) -> None:
         rows = [["song", "source", "segments", "mean", "median", "sd", "mad"]]
-        rows += [
-            [s.song, s.source, s.segments, repr(s.mean), repr(s.median), repr(s.sd), repr(s.mad)]
-            for s in self.songs
-        ]
+        rows += [astuple(s) for s in self.songs]
         for label, table in (("dataset_song_level", self.song_level), ("dataset_pooled", self.pooled)):
-            rows += [
-                [label, source, stats.count, repr(stats.mean), repr(stats.median), repr(stats.sd), repr(stats.mad)]
-                for source, stats in table.items()
-            ]
+            rows += [[label, source, *astuple(stats)] for source, stats in table.items()]
         write_csv_rows(path, rows)
 
 
-def _stats(values: list[float]) -> tuple[float, float, float, float]:
+def _stats(values: list[float]) -> SourceStats:
     arr = np.asarray(values, dtype=np.float64)
     med = float(np.median(arr))
     mad = float(np.median(np.abs(arr - med)))
     # population SD (ddof=0); the populations here are complete, not samples
-    return float(np.mean(arr)), med, float(np.std(arr)), mad
+    return SourceStats(arr.size, float(np.mean(arr)), med, float(np.std(arr)), mad)
 
 
 def aggregate(
@@ -129,26 +123,16 @@ def aggregate(
     songs: list[SongStats] = []
     song_level: dict[str, SourceStats] = {}
     pooled: dict[str, SourceStats] = {}
-    total = 0
     for source in sorted(per_song):
-        by_song = {name: vals for name, vals in per_song[source].items() if len(vals) > 0}
-        means, medians, all_values = [], [], []
-        for name in sorted(by_song):
-            values = [float(v) for v in by_song[name]]
-            mean, med, sd, mad = _stats(values)
-            songs.append(SongStats(name, source, len(values), mean, med, sd, mad))
-            means.append(mean)
-            medians.append(med)
-            all_values.extend(values)
-        total += len(all_values)
-        if not all_values:
+        by_song = {name: vals for name, vals in sorted(per_song[source].items()) if len(vals) > 0}
+        if not by_song:
             continue
-        mean, _, sd, _ = _stats(means)
-        _, med, _, mad = _stats(medians)
-        song_level[source] = SourceStats(len(means), mean, med, sd, mad)
-        p_mean, p_med, p_sd, p_mad = _stats(all_values)
-        pooled[source] = SourceStats(len(all_values), p_mean, p_med, p_sd, p_mad)
-    if total == 0:
+        rows = [SongStats(name, source, *astuple(_stats(vals))) for name, vals in by_song.items()]
+        songs += rows
+        means, medians = _stats([r.mean for r in rows]), _stats([r.median for r in rows])
+        song_level[source] = SourceStats(means.count, means.mean, medians.median, means.sd, medians.mad)
+        pooled[source] = _stats([v for vals in by_song.values() for v in vals])
+    if not songs:
         raise InvalidConfig("aggregate needs at least one segment")
     return SdrReport(songs, song_level, pooled, dict(silent_segments or {}))
 
@@ -160,19 +144,11 @@ def evaluate_songs(net: SepNet, songs) -> SdrReport:
     segments (RMS below SILENCE_RMS) are counted per source but kept in
     all statistics.
     """
-    per_song: dict[str, dict[str, list[float]]] = {src: {} for src in SOURCES}
-    silent = {src: 0 for src in SOURCES}
+    per_song: dict[str, dict[str, list[float]]] = {source: {} for source in SOURCES}
+    silent = dict.fromkeys(SOURCES, 0)
     for song in songs:
-        est_vocals, est_accomp = separate_signal(net, song.mixture)
-        references = {"vocals": song.vocals, "accompaniment": song.accompaniment}
-        estimates = {"vocals": est_vocals, "accompaniment": est_accomp}
-        for source in SOURCES:
-            ref_frames = segment(references[source], song.sample_rate)
-            est_frames = segment(estimates[source], song.sample_rate)
-            values = []
-            for ref, est in zip(ref_frames, est_frames):
-                values.append(segment_sdr(ref, est))
-                if float(np.sqrt(np.mean(ref * ref))) < SILENCE_RMS:
-                    silent[source] += 1
-            per_song[source][song.name] = values
+        for source, estimate in zip(SOURCES, separate_signal(net, song.mixture)):
+            frames = list(zip(segment(getattr(song, source), song.sample_rate), segment(estimate, song.sample_rate)))
+            per_song[source][song.name] = [segment_sdr(ref, est) for ref, est in frames]
+            silent[source] += sum(float(np.sqrt(np.mean(ref * ref))) < SILENCE_RMS for ref, _ in frames)
     return aggregate(per_song, silent)

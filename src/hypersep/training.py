@@ -18,7 +18,7 @@ fixed, so runs with different patience settings see identical batches.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -210,11 +210,7 @@ class TrainLog:
 
     def write_csv(self, path) -> None:
         rows = [["epoch", "mse", "mhe_penalty", "val_loss", "lambda", "seconds", "val_mse"]]
-        rows += [
-            [r.epoch, repr(r.train_mse), repr(r.mhe_penalty), repr(r.val_loss),
-             repr(r.lambda_h), repr(r.seconds), repr(r.val_mse)]
-            for r in self.records
-        ]
+        rows += [astuple(r) for r in self.records]
         write_csv_rows(path, rows)
 
 

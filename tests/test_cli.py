@@ -52,7 +52,9 @@ class TestUsageErrors:
 
     def test_unknown_flag_is_named(self, capsys):
         assert cli(["thomson", "--n", "2", "--bogus"]) == 1
-        assert "--bogus" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--bogus" in err
+        assert "usage: hypersep thomson" in err
 
     def test_bad_value_names_flag(self, capsys):
         assert cli(["thomson", "--n", "two"]) == 1

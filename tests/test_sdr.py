@@ -208,3 +208,22 @@ class TestEvaluateAndCsv:
         assert ("dataset_song_level", "vocals") in labels
         assert ("dataset_pooled", "accompaniment") in labels
         assert len(rows) == 1 + 2 + 2 + 2
+
+    def test_csv_float_cells_read_back_exactly(self, tmp_path):
+        import csv
+
+        report = aggregate({"vocals": {"a": [0.1 + 0.2, 1 / 3, -100.0], "b": [1e-300]},
+                            "accompaniment": {"a": [2 / 3, 1e-300, 0.1]}})
+        path = tmp_path / "report.csv"
+        report.write_csv(path)
+        with open(path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        expected = [(s.song, s.source, s.segments, s.mean, s.median, s.sd, s.mad) for s in report.songs]
+        for label, table in (("dataset_song_level", report.song_level), ("dataset_pooled", report.pooled)):
+            expected += [(label, source, t.count, t.mean, t.median, t.sd, t.mad) for source, t in table.items()]
+        assert len(rows) == len(expected) == 2 + 1 + 2 + 2
+        for row, want in zip(rows, expected):
+            assert row[:2] == list(want[:2]) and int(row[2]) == want[2]
+            assert [float(cell) for cell in row[3:]] == list(want[3:])
+        # the cells need all 17 significant digits: a 15-digit round trip would lose them
+        assert any(float(f"{value:.15g}") != value for want in expected for value in want[3:])

@@ -139,7 +139,7 @@ class TestMinimize:
         calls = []
         core = thomson._unit_energy
         monkeypatch.setattr(thomson, "_unit_energy", lambda *a: calls.append(1) or core(*a))
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig), np.errstate(over="ignore"):
             minimize_energy(12, 3, S1_CHORD, steps=50, restarts=2, step_size=step_size, seed=6)
         assert len(calls) == (0 if step_size == math.inf else 1)
 
