@@ -26,8 +26,9 @@ normalization is applied here, once). Distances smaller than the config's
 ``clamp_epsilon`` are clamped before the kernel is applied; clamped pairs
 contribute a constant to the energy and nothing to the gradient.
 ``layer_energy`` validates (``FilterBank``, ``project_to_sphere``) and
-hands unit rows and raw norms to the unchecked core ``_unit_energy``,
-which the Thomson solver calls directly on its own unit rows.
+hands unit rows and raw norms to the unchecked core ``_unit_energy``. The
+Thomson solver calls the core directly on a stack (R, N, D), one bank per
+restart, and gets (R,) energies and clamp counts, each as the bank alone.
 """
 
 from dataclasses import dataclass
@@ -185,26 +186,25 @@ def layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:
 
 
 def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_id: int = 0) -> EnergyResult:
-    """layer_energy on rows already projected: unit rows and their raw norms, not checked."""
-    n = unit.shape[0]
-    points = np.concatenate([unit, -unit], axis=0) if config.space == "half" else unit
-    m = points.shape[0]
+    """layer_energy on projected rows, unchecked: (N, D) unit rows and (N,) norms, or R banks, (R, N, D) and (R, N)."""
+    points = np.concatenate([unit, -unit], axis=-2) if config.space == "half" else unit
+    m = points.shape[-2]
     if m < 2:
         raise DegenerateBank(layer_id, f"bank for layer {layer_id} has a single direction")
 
-    gram = points @ points.T
+    gram = points @ points.swapaxes(-1, -2)
     off_diag = ~np.eye(m, dtype=bool)
     if config.distance == "euclidean":
         raw = np.sqrt(np.maximum(2.0 - 2.0 * gram, 0.0))
         near = gram > 1.0 - _NEAR_GAP
-        # The m diagonal entries are always near; most banks have no other.
-        if np.count_nonzero(near) > m:
+        # The diagonal entries are always near; most banks have no other.
+        if np.count_nonzero(near) > near.size // m:
             near &= off_diag
             # Row by row, so a collapsed bank needs O(m * D) scratch, not O(m^2 * D).
-            for i in np.flatnonzero(near.any(axis=1)):
-                cols = np.flatnonzero(near[i])
-                diff = points[cols] - points[i]
-                raw[i, cols] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            for *bank, i in zip(*np.nonzero(near.any(axis=-1))):
+                cols = np.flatnonzero(near[(*bank, i)])
+                diff = points[(*bank, cols)] - points[(*bank, i)]
+                raw[(*bank, i, cols)] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     else:
         gram_clipped = np.clip(gram, -1.0 + _DOT_MARGIN, 1.0 - _DOT_MARGIN)
         dot_clipped = (gram <= -1.0 + _DOT_MARGIN) | (gram >= 1.0 - _DOT_MARGIN)
@@ -213,15 +213,14 @@ def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_i
     clamped = (raw < config.clamp_epsilon) & off_diag
     dist = np.maximum(raw, config.clamp_epsilon)
     values, slopes = _kernel_and_slope(dist, config.s_power)
-    energy = float(values[off_diag].sum())
+    # values[..., off_diag] is a slow fancy index, and on a stack a non-C layout whose row sums round differently.
+    energy = values[off_diag].sum() if unit.ndim == 2 else np.ascontiguousarray(values[..., off_diag]).sum(axis=-1)
 
-    # Each unordered pair appears as (i, k) and (k, i); both contribute the
-    # same derivative w.r.t. point i, hence the factor 2 below. Pairs whose
-    # distance (or arccos argument) was clamped are constants: zero slope.
-    # Bank-sized arrays are updated in place: fresh ones cost page faults.
-    # The euclidean derivative, coef_ik (p_i - p_k), keeps only its -coef_ik p_k
-    # part: the coef_ik p_i part is radial and the normalization chain rule
-    # below projects it out, so both distances share one product.
+    # Each unordered pair appears as (i, k) and (k, i); both contribute the same derivative w.r.t. point i, hence
+    # the factor 2 below. Pairs whose distance (or arccos argument) was clamped are constants: zero slope.
+    # Bank-sized arrays are updated in place: fresh ones cost page faults. The euclidean derivative,
+    # coef_ik (p_i - p_k), keeps only its -coef_ik p_k part: the coef_ik p_i part is radial and the normalization
+    # chain rule below projects it out, so both distances share one product.
     live = off_diag & ~clamped
     if config.distance == "euclidean":
         coef = np.where(live, 2.0 * slopes / dist, 0.0)
@@ -232,14 +231,16 @@ def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_i
     grad_points = coef @ points
     np.negative(grad_points, out=grad_points)
 
-    grad_unit = grad_points[:n] - grad_points[n:] if config.space == "half" else grad_points
+    grad_unit = grad_points[..., : m // 2, :] - grad_points[..., m // 2 :, :] if config.space == "half" else grad_points
 
     # Chain rule through row normalization u = w / ||w||: the Jacobian
     # projects out the radial component and divides by the row norm.
-    radial = np.einsum("ij,ij->i", unit, grad_unit)
-    grad_unit -= radial[:, None] * unit
-    gradient = np.divide(grad_unit, norms[:, None], out=grad_unit)
-    return EnergyResult(energy, gradient, int(np.count_nonzero(clamped)))
+    radial = np.einsum("...ij,...ij->...i", unit, grad_unit)
+    grad_unit -= radial[..., None] * unit
+    gradient = np.divide(grad_unit, norms[..., None], out=grad_unit)
+    if unit.ndim == 2:
+        return EnergyResult(float(energy), gradient, int(np.count_nonzero(clamped)))
+    return EnergyResult(energy, gradient, np.count_nonzero(clamped, axis=(-2, -1)))
 
 
 def normalized_layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:

@@ -21,6 +21,7 @@ from .errors import IncompatibleShape, InvalidConfig
 SHAPES = ("antipodal", "triangle", "tetrahedron", "octahedron", "icosahedron")
 
 _GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+_STACK = 1 << 21  # Gram entries of one group of restarts run side by side
 
 
 @dataclass
@@ -72,10 +73,10 @@ def shape_for_points(n_points: int) -> str | None:
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", x, x)
+    sq = np.einsum("...ij,...ij->...i", x, x)
     if not np.isfinite(sq.max()):  # the trial's only check: overflow leaves NaN or zero rows
         raise InvalidConfig("a descent step overflowed; step_size is too large")
-    return x / np.sqrt(sq)[:, None]
+    return x / np.sqrt(sq)[..., None]
 
 
 def minimize_energy(
@@ -89,40 +90,38 @@ def minimize_energy(
 ) -> tuple[float, PointSet]:
     """Projected gradient descent from `restarts` Gaussian starts.
 
-    Each trial step moves against the gradient and renormalizes rows; it is
-    accepted only if it strictly lowers the energy, else the step is halved
-    and retried, so the accepted history is strictly decreasing. `steps` caps
-    a restart's accepted steps; it ends sooner once no step down to 1e-18
-    lowers the energy. Ties across restarts resolve to the lowest restart index.
+    Each trial step moves against the gradient and renormalizes rows; it is accepted only if it strictly lowers the
+    energy, else the step is halved and retried, so the accepted history is strictly decreasing. `steps` caps a
+    restart's accepted steps; it ends sooner once no step down to 1e-18 lowers the energy. Ties across restarts
+    resolve to the lowest restart index. The restarts run side by side, one stacked energy call per round of
+    trials, in groups bounded by memory (_STACK Gram entries); each takes the path it would take alone.
     """
     if n_points < 2 or dim < 2:
         raise InvalidConfig(f"need n_points >= 2 and dim >= 2, got ({n_points}, {dim})")
-    if steps < 1 or restarts < 1 or not 0 < step_size < np.inf:
-        raise InvalidConfig("steps and restarts must be >= 1 and step_size positive and finite")
-    unit_norms = np.ones(n_points)
-    best_energy = np.inf
-    best_set: PointSet | None = None
-    for child in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(child)
-        points = _normalize_rows(rng.standard_normal((n_points, dim)))
-        result = _unit_energy(points, unit_norms, config)
+    if steps < 1 or restarts < 1 or seed < 0 or not 0 < step_size < np.inf:
+        raise InvalidConfig("steps and restarts must be >= 1, seed >= 0 and step_size positive and finite")
+    group = max(1, _STACK // (2 * n_points if config.space == "half" else n_points) ** 2)
+    children = np.random.SeedSequence(seed).spawn(restarts)
+    best_energy, best_set = np.inf, None
+    for first in range(0, restarts, group):
+        starts = [np.random.default_rng(c).standard_normal((n_points, dim)) for c in children[first:first + group]]
+        points = _normalize_rows(np.stack(starts))
+        result = _unit_energy(points, np.ones(points.shape[:-1]), config)
         energy, gradient = result.energy, result.gradient
-        history = [energy]
-        step = step_size
-        for _ in range(steps):
-            while step >= 1e-18:
-                trial = _normalize_rows(points - step * gradient)
-                trial_result = _unit_energy(trial, unit_norms, config)
-                if trial_result.energy < energy:
-                    break
-                step *= 0.5
-            else:
-                break  # no step lowers the energy at float resolution
-            points, energy, gradient = trial, trial_result.energy, trial_result.gradient
-            history.append(energy)
-            step = min(step * 1.3, step_size)
-        if energy < best_energy:
-            best_energy = energy
-            best_set = PointSet(points, history)
+        histories = [[e] for e in energy.tolist()]
+        step, taken, live = np.full(len(starts), step_size), np.zeros(len(starts), dtype=int), np.arange(len(starts))
+        while (live := live[(taken[live] < steps) & (step[live] >= 1e-18)]).size:
+            trial = _normalize_rows(points[live] - step[live, None, None] * gradient[live])
+            result = _unit_energy(trial, np.ones(trial.shape[:-1]), config)
+            lower = result.energy < energy[live]
+            won = live[lower]
+            points[won], energy[won], gradient[won] = trial[lower], result.energy[lower], result.gradient[lower]
+            for r, e in zip(won.tolist(), energy[won].tolist()):
+                histories[r].append(e)
+            taken[won] += 1
+            step[live] = np.where(lower, np.minimum(step[live] * 1.3, step_size), step[live] * 0.5)
+        r = int(np.argmin(energy))
+        if energy[r] < best_energy:
+            best_energy, best_set = energy[r], PointSet(points[r], histories[r])
     assert best_set is not None
     return float(best_energy), best_set

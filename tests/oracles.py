@@ -174,3 +174,35 @@ def scalar_sdr(reference, estimate, eps=1e-20, clamp_db=100.0):
         den += err * err
     val = 10.0 * math.log10(num / den)
     return max(-clamp_db, min(clamp_db, val))
+
+
+def sequential_minimize(unit_energy, n_points, dim, config, steps=2000, restarts=8, step_size=0.1, seed=0):
+    """The Thomson descent one restart after another, each trial one call of unit_energy (the package's
+    single-bank core) on one bank; returns the best restart's (energy, points, energy history)."""
+
+    def normalize(x):
+        return x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+
+    unit_norms = np.ones(n_points)
+    best = (math.inf, None, None)
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        points = normalize(np.random.default_rng(child).standard_normal((n_points, dim)))
+        result = unit_energy(points, unit_norms, config)
+        energy, gradient = result.energy, result.gradient
+        history = [energy]
+        step = step_size
+        for _ in range(steps):
+            while step >= 1e-18:
+                trial = normalize(points - step * gradient)
+                trial_result = unit_energy(trial, unit_norms, config)
+                if trial_result.energy < energy:
+                    break
+                step *= 0.5
+            else:
+                break  # no step lowers the energy at float resolution
+            points, energy, gradient = trial, trial_result.energy, trial_result.gradient
+            history.append(energy)
+            step = min(step * 1.3, step_size)
+        if energy < best[0]:
+            best = (energy, points, history)
+    return best

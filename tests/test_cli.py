@@ -156,6 +156,12 @@ class TestThomson:
         assert fields[5] == "" and fields[6] == ""
         assert np.isfinite(float(fields[4]))
 
+    def test_negative_seed_is_one_error_line(self, capsys):
+        rc = cli(["thomson", "--n", "4", "--d", "3", "--seed", "-1"])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hypersep: error:") and "seed" in err[0]
+
     def test_reference_only_applies_in_three_dimensions(self, capsys):
         rc = cli(["thomson", "--n", "4", "--d", "5", "--steps", "50", "--restarts", "1"])
         assert rc == 0

@@ -303,6 +303,49 @@ class TestUnitEnergyCore:
             assert core.energy == wrapped.energy, config.label()
             assert np.array_equal(core.gradient, wrapped.gradient), config.label()
             assert core.clamped_pairs == wrapped.clamped_pairs, config.label()
+            assert type(core.energy) is float and type(core.clamped_pairs) is int
+
+    @staticmethod
+    def clamped_bank():
+        """A 5 x 6 bank whose last two rows coincide: a clamped pair under every config at clamp_epsilon 1e-5
+        (angular distances bottom out near 1.4e-6), and under the euclidean ones at 1e-12."""
+        w = bank_with_close_pair(1e-10, mirror=False)
+        w[4] = w[3]
+        return w
+
+    @pytest.mark.parametrize(
+        "members",
+        [
+            ["random", "close", "random", "mirrored", "clamped"],
+            ["random", "random", "close"],  # a single bank of the stack has near pairs
+            ["mirrored", "random"],  # near pairs in half space only
+        ],
+        ids=["mixed", "one_near_bank", "near_in_half_only"],
+    )
+    @pytest.mark.parametrize("clamp_epsilon", [1e-12, 1e-5])
+    def test_stack_matches_each_bank_alone_bit_for_bit(self, members, clamp_epsilon):
+        """The solver's stacked call: (R, N, D) rows give each bank's energy, gradient and clamp count exactly as
+        that bank gets them alone, through the near-pair rows of a single bank as well."""
+        rng = np.random.default_rng(74)
+        make = {
+            "random": lambda: random_bank(rng, 5, 6).weights,
+            "close": lambda: bank_with_close_pair(1e-10, mirror=False),
+            "mirrored": lambda: bank_with_close_pair(1e-10, mirror=True),
+            "clamped": self.clamped_bank,
+        }
+        banks = [make[name]() for name in members]
+        for config in all_configs():
+            config = MheConfig(config.space, config.distance, config.s_power, clamp_epsilon)
+            projected = [project_to_sphere(w, config.clamp_epsilon) for w in banks]
+            stacked = _unit_energy(np.stack([u for u, _ in projected]), np.stack([n for _, n in projected]), config)
+            assert stacked.energy.shape == stacked.clamped_pairs.shape == (len(banks),)
+            for r, (unit, norms) in enumerate(projected):
+                alone = _unit_energy(unit, norms, config)
+                assert stacked.energy[r] == alone.energy, (config.label(), r)
+                assert np.array_equal(stacked.gradient[r], alone.gradient), (config.label(), r)
+                assert stacked.clamped_pairs[r] == alone.clamped_pairs, (config.label(), r)
+                if members[r] == "clamped" and (clamp_epsilon == 1e-5 or config.distance == "euclidean"):
+                    assert alone.clamped_pairs == (4 if config.space == "half" else 2), config.label()
 
 
 class TestGradients:
