@@ -20,7 +20,6 @@ from .energy import (
     normalized_layer_energy,
     pair_distance,
     project_to_sphere,
-    repulsion,
 )
 from .errors import HypersepError
 from .net import (
@@ -84,7 +83,6 @@ __all__ = [
     "project_to_sphere",
     "read_wav",
     "reference_energy",
-    "repulsion",
     "resolve_lambda",
     "save_checkpoint",
     "segment",

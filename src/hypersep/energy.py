@@ -21,10 +21,15 @@ With a clamp threshold below sqrt(2 * _NEAR_GAP) only those pairs can be
 clamped, so clamped-pair counts are exact.
 
 All functions return energies over ordered pairs and analytic gradients
-with respect to the *unnormalized* weights (the chain rule through row
-normalization is applied here, once). Distances smaller than the config's
-``clamp_epsilon`` are clamped before the kernel is applied; clamped pairs
-contribute a constant to the energy and nothing to the gradient.
+with respect to the *unnormalized* weights: one N x N coefficient matrix
+F times the unit rows U. A pair's coefficient is the kernel's slope over
+the chord (or the angle's sine); in half space the four N x N blocks of
+the 2N x 2N coefficients fold into F = C11 - C12 - C21 + C22, as rows i
+and N + i of the stack are u_i and -u_i. The normalization chain rule
+acts on F too: subtracting r_i = sum_k F_ik g_ik (g the Gram of U) from
+its diagonal removes each row's radial part; row i is divided by ||w_i||.
+Distances below the config's ``clamp_epsilon`` are clamped; clamped
+pairs add a constant to the energy and nothing to the gradient.
 ``layer_energy`` validates (``FilterBank``, ``project_to_sphere``) and
 hands unit rows and raw norms to the unchecked core ``_unit_energy``. The
 Thomson solver calls the core directly on a stack (R, N, D), one bank per
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBank, InvalidConfig, NonPositiveDistance, ZeroNormFilter, check_fields
+from .errors import DegenerateBank, InvalidConfig, ZeroNormFilter, check_fields
 
 SPACES = ("full", "half")
 DISTANCES = ("euclidean", "angular")
@@ -141,19 +146,6 @@ def project_to_sphere(
     return w / norms[:, None], norms
 
 
-def repulsion(z: float, s_power: int) -> float:
-    """Pair repulsion kernel: z**(-s) for s in {1, 2}, -log(z) for s = 0."""
-    if not z > 0:
-        raise NonPositiveDistance(f"kernel undefined at distance {z!r}")
-    if s_power == 0:
-        return float(-np.log(z))
-    if s_power == 1:
-        return 1.0 / z
-    if s_power == 2:
-        return 1.0 / (z * z)
-    raise InvalidConfig(f"s_power must be one of {S_POWERS}, got {s_power!r}")
-
-
 def pair_distance(a: np.ndarray, b: np.ndarray, distance: str, clamp_epsilon: float = 1e-12) -> float:
     """Distance between two unit vectors under the chosen metric, clamped below."""
     a = np.asarray(a, dtype=np.float64)
@@ -169,14 +161,17 @@ def pair_distance(a: np.ndarray, b: np.ndarray, distance: str, clamp_epsilon: fl
 
 
 def _kernel_and_slope(dist: np.ndarray, s_power: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise kernel values and derivatives on a (clamped) distance matrix."""
+    """Elementwise kernel values and derivatives on a (clamped) distance matrix, in two new arrays."""
     if s_power == 0:
-        return -np.log(dist), -1.0 / dist
+        values = np.log(dist)
+        return np.negative(values, out=values), np.divide(-1.0, dist)
     if s_power == 1:
-        inv = 1.0 / dist
-        return inv, -(inv * inv)
-    inv2 = 1.0 / (dist * dist)
-    return inv2, -2.0 * inv2 / dist
+        inv = np.divide(1.0, dist)
+        slopes = np.multiply(inv, inv)
+        return inv, np.negative(slopes, out=slopes)
+    inv2 = np.multiply(dist, dist)
+    slopes = np.multiply(np.divide(1.0, inv2, out=inv2), -2.0)
+    return inv2, np.divide(slopes, dist, out=slopes)
 
 
 def layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:
@@ -187,15 +182,22 @@ def layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:
 
 def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_id: int = 0) -> EnergyResult:
     """layer_energy on projected rows, unchecked: (N, D) unit rows and (N,) norms, or R banks, (R, N, D) and (R, N)."""
-    points = np.concatenate([unit, -unit], axis=-2) if config.space == "half" else unit
+    n = unit.shape[-2]
+    points = unit
+    if config.space == "half":
+        points = np.empty(unit.shape[:-2] + (2 * n, unit.shape[-1]))
+        points[..., :n, :] = unit
+        np.negative(unit, out=points[..., n:, :])
     m = points.shape[-2]
     if m < 2:
         raise DegenerateBank(layer_id, f"bank for layer {layer_id} has a single direction")
 
+    # Bank-sized arrays are updated in place where the operation order allows: fresh ones cost page faults.
     gram = points @ points.swapaxes(-1, -2)
     off_diag = ~np.eye(m, dtype=bool)
     if config.distance == "euclidean":
-        raw = np.sqrt(np.maximum(2.0 - 2.0 * gram, 0.0))
+        raw = np.multiply(gram, 2.0)
+        np.sqrt(np.maximum(np.subtract(2.0, raw, out=raw), 0.0, out=raw), out=raw)
         near = gram > 1.0 - _NEAR_GAP
         # The diagonal entries are always near; most banks have no other.
         if np.count_nonzero(near) > near.size // m:
@@ -211,33 +213,37 @@ def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_i
         raw = np.arccos(gram_clipped)
 
     clamped = (raw < config.clamp_epsilon) & off_diag
-    dist = np.maximum(raw, config.clamp_epsilon)
+    dist = np.maximum(raw, config.clamp_epsilon, out=raw)
     values, slopes = _kernel_and_slope(dist, config.s_power)
     # values[..., off_diag] is a slow fancy index, and on a stack a non-C layout whose row sums round differently.
     energy = values[off_diag].sum() if unit.ndim == 2 else np.ascontiguousarray(values[..., off_diag]).sum(axis=-1)
 
-    # Each unordered pair appears as (i, k) and (k, i); both contribute the same derivative w.r.t. point i, hence
-    # the factor 2 below. Pairs whose distance (or arccos argument) was clamped are constants: zero slope.
-    # Bank-sized arrays are updated in place: fresh ones cost page faults. The euclidean derivative,
-    # coef_ik (p_i - p_k), keeps only its -coef_ik p_k part: the coef_ik p_i part is radial and the normalization
-    # chain rule below projects it out, so both distances share one product.
+    # The gradient w.r.t. the stack's row p_i is sum_k coef_ik p_k, coef_ik = -2 k'(d_ik) / d_ik for chords and
+    # -2 k'(d_ik) / sin(d_ik) for angles: (i, k) and (k, i) both depend on p_i, hence the 2. The chord's derivative
+    # (p_i - p_k) / d keeps only its -p_k part: the p_i part is radial, and the normalization chain rule removes it.
+    # Clamped pairs (in distance or in the arccos argument) are constants: zero coefficient. In half space p_i = u_i
+    # and p_{N+i} = -u_i, so the gradient w.r.t. u_i is (F @ U)_i with F = C11 - C12 - C21 + C22 folded from coef's
+    # N x N blocks (full space: F = coef). The chain rule through u = w / ||w|| also works on F: subtracting
+    # r_i = sum_k F_ik (u_i . u_k), from the Gram, from F_ii removes row i's radial part, and dividing row i by
+    # ||w_i|| leaves F @ U the weight gradient.
     live = off_diag & ~clamped
+    coef = np.multiply(slopes, -2.0, out=slopes)
     if config.distance == "euclidean":
-        coef = np.where(live, 2.0 * slopes / dist, 0.0)
+        np.divide(coef, dist, out=coef)
     else:
         live &= ~dot_clipped
-        inv_sin = 1.0 / np.sqrt(1.0 - gram_clipped * gram_clipped)
-        coef = np.where(live, 2.0 * slopes * inv_sin, 0.0)
-    grad_points = coef @ points
-    np.negative(grad_points, out=grad_points)
+        cos2 = np.multiply(gram_clipped, gram_clipped, out=gram_clipped)
+        inv_sin = np.divide(1.0, np.sqrt(np.subtract(1.0, cos2, out=cos2), out=cos2), out=cos2)
+        np.multiply(coef, inv_sin, out=coef)
+    np.copyto(coef, 0.0, where=~live)
 
-    grad_unit = grad_points[..., : m // 2, :] - grad_points[..., m // 2 :, :] if config.space == "half" else grad_points
-
-    # Chain rule through row normalization u = w / ||w||: the Jacobian
-    # projects out the radial component and divides by the row norm.
-    radial = np.einsum("...ij,...ij->...i", unit, grad_unit)
-    grad_unit -= radial[..., None] * unit
-    gradient = np.divide(grad_unit, norms[..., None], out=grad_unit)
+    fold = coef
+    if config.space == "half":
+        fold = coef[..., :n, :n] - coef[..., :n, n:] - coef[..., n:, :n] + coef[..., n:, n:]
+    diagonal = np.einsum("...ii->...i", fold)  # a writable view
+    diagonal -= np.einsum("...ik,...ik->...i", fold, gram[..., :n, :n])
+    fold /= norms[..., None]
+    gradient = fold @ unit
     if unit.ndim == 2:
         return EnergyResult(float(energy), gradient, int(np.count_nonzero(clamped)))
     return EnergyResult(energy, gradient, np.count_nonzero(clamped, axis=(-2, -1)))

@@ -54,10 +54,6 @@ class ZeroNormFilter(HypersepError):
         super().__init__(f"filter row {row} has norm {norm:.3e}, too small to normalize")
 
 
-class NonPositiveDistance(HypersepError):
-    """A repulsion kernel was evaluated at a non-positive distance."""
-
-
 class DegenerateBank(HypersepError):
     """A filter bank has too few rows for pairwise energy to be defined."""
 

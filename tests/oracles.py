@@ -42,13 +42,17 @@ def brute_force_energy(weights, space, distance, s_power, clamp_epsilon=1e-12):
             if d < clamp_epsilon:
                 d = clamp_epsilon
                 clamped += 1
-            if s_power == 0:
-                total += -math.log(d)
-            elif s_power == 1:
-                total += 1.0 / d
-            else:
-                total += 1.0 / (d * d)
+            total += repulsion(d, s_power)
     return total, clamped
+
+
+def repulsion(z, s_power):
+    """Pair kernel at one distance: -log(z) for s = 0, z**(-s) for s in {1, 2}."""
+    if s_power == 0:
+        return -math.log(z)
+    if s_power == 1:
+        return 1.0 / z
+    return 1.0 / (z * z)
 
 
 def brute_force_normalized(weights, space, distance, s_power, clamp_epsilon=1e-12):

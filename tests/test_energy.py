@@ -1,12 +1,14 @@
 """Unit and property tests for the hyperspherical energy core."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hypersep.energy import (
     _NEAR_GAP,
+    S_POWERS,
     _unit_energy,
     FilterBank,
     MheConfig,
@@ -16,12 +18,10 @@ from hypersep.energy import (
     normalized_layer_energy,
     pair_distance,
     project_to_sphere,
-    repulsion,
 )
 from hypersep.errors import (
     DegenerateBank,
     InvalidConfig,
-    NonPositiveDistance,
     ZeroNormFilter,
 )
 from hypersep.net import NetConfig, collect_filter_banks, init_net
@@ -96,17 +96,6 @@ class TestProjection:
 
 
 class TestKernelAndDistance:
-    def test_kernel_values(self):
-        assert repulsion(2.0, 1) == 0.5
-        assert repulsion(2.0, 2) == 0.25
-        assert repulsion(1.0, 0) == 0.0
-        assert repulsion(math.e, 0) == pytest.approx(-1.0, rel=1e-15)
-
-    @pytest.mark.parametrize("z", [0.0, -0.5])
-    def test_kernel_rejects_nonpositive(self, z):
-        with pytest.raises(NonPositiveDistance):
-            repulsion(z, 1)
-
     def test_orthogonal_pair_distances(self):
         e1 = np.array([1.0, 0.0])
         e2 = np.array([0.0, 1.0])
@@ -195,7 +184,7 @@ class TestOracleAgreement:
             unit, _ = project_to_sphere(bank.weights)
             pts = np.concatenate([unit, -unit]) if config.space == "half" else unit
             unordered = sum(
-                repulsion(
+                oracles.repulsion(
                     pair_distance(pts[i], pts[k], config.distance, config.clamp_epsilon),
                     config.s_power,
                 )
@@ -215,6 +204,23 @@ class TestOracleAgreement:
                     full = layer_energy(stacked, MheConfig("full", distance, s))
                     assert half.energy == full.energy
                     assert half.clamped_pairs == full.clamped_pairs
+
+    def test_half_space_gradient_is_full_gradient_on_stacked_bank_folded(self):
+        """E_half(W) = E_full([W; -W]), so the half gradient is the stacked gradient's top rows minus its bottom
+        rows: within 1e-13 of its largest entry, under all six half configs."""
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            bank = random_bank(rng, int(rng.integers(2, 9)), int(rng.integers(2, 12)))
+            n = bank.n_filters
+            stacked = FilterBank(np.concatenate([bank.weights, -bank.weights]))
+            for config in all_configs():
+                if config.space != "half":
+                    continue
+                half = layer_energy(bank, config).gradient
+                full = layer_energy(stacked, MheConfig("full", config.distance, config.s_power)).gradient
+                folded = full[:n] - full[n:]
+                err = float(np.max(np.abs(half - folded)) / np.max(np.abs(folded)))
+                assert err <= 1e-13, f"{bank.weights.shape} {config.label()}: {err:.2e}"
 
 
 EUCLIDEAN_CONFIGS = [c for c in all_configs() if c.distance == "euclidean"]
@@ -375,6 +381,34 @@ class TestGradients:
                 ref = oracles.long_double_euclidean_gradient(bank.weights, config.space, config.s_power)
                 err = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
                 assert err < 2e-14, f"{bank.weights.shape} {config.label()}: {err:.2e}"
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_half_euclidean_gradient_matches_long_double_on_large_paper_banks(self, seed):
+        """The paper net's down3 (96x720), up2 (48x720) and up1 (24x360) banks, where the half-space gradient is
+        one folded N x N product over a 2N x 2N Gram, against a long-double gradient: within 2e-14 of its
+        largest entry."""
+        banks = collect_filter_banks(init_net(NetConfig(seed=seed)))
+        for bank in (banks[2], banks[6], banks[7]):
+            for s_power in S_POWERS:
+                got = layer_energy(bank, MheConfig("half", "euclidean", s_power)).gradient
+                ref = oracles.long_double_euclidean_gradient(bank.weights, "half", s_power)
+                err = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+                assert err < 2e-14, f"{bank.weights.shape} half/euclidean/s{s_power}: {err:.2e}"
+
+    @pytest.mark.parametrize("space, bound", [("half", 6), ("full", 3)])
+    def test_traced_peak_is_a_few_banks(self, space, bound):
+        """One euclidean s0 call on a 192 x 2880 bank (the paper's up4 shape) peaks at most `bound` times the bank's
+        bytes: the unit rows, the 2N x D stack in half space, the gradient and a few 2N x 2N (N x N) matrices,
+        with no other bank-sized temporary."""
+        bank = random_bank(np.random.default_rng(43), 192, 2880)
+        config = MheConfig(space, "euclidean", 0)
+        tracemalloc.start()
+        try:
+            layer_energy(bank, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * bank.weights.nbytes, f"{space}: peak {peak / bank.weights.nbytes:.2f}x the bank"
 
     def test_gradient_is_zero_under_row_rescaling_direction(self):
         """Energy is scale-free, so gradients are orthogonal to their row."""
