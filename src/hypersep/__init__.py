@@ -9,6 +9,7 @@ from .dataset import (
     load_manifest,
     load_song,
     load_split,
+    save_manifest,
 )
 from .energy import (
     EnergyResult,
@@ -85,6 +86,7 @@ __all__ = [
     "reference_energy",
     "resolve_lambda",
     "save_checkpoint",
+    "save_manifest",
     "segment",
     "segment_sdr",
     "separate_signal",

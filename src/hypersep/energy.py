@@ -30,10 +30,15 @@ acts on F too: subtracting r_i = sum_k F_ik g_ik (g the Gram of U) from
 its diagonal removes each row's radial part; row i is divided by ||w_i||.
 Distances below the config's ``clamp_epsilon`` are clamped; clamped
 pairs add a constant to the energy and nothing to the gradient.
-``layer_energy`` validates (``FilterBank``, ``project_to_sphere``) and
-hands unit rows and raw norms to the unchecked core ``_unit_energy``. The
-Thomson solver calls the core directly on a stack (R, N, D), one bank per
-restart, and gets (R,) energies and clamp counts, each as the bank alone.
+``layer_energy`` validates (``FilterBank``, the row norms of
+``project_to_sphere``), divides the rows by their norms straight into the
+points (``_sphere_points``: the top half of [U; -U] in half space) and
+hands points and raw norms to the unchecked core ``_unit_energy``. The
+Thomson solver builds its trials' points the same way and calls the core
+directly on a stack (R, N', D), one bank per restart, and gets (R,)
+energies and clamp counts, each as the bank alone. ``mhe_penalty``
+evaluates its banks largest first, so that no finished bank's gradient is
+held under the largest one's temporaries.
 """
 
 from dataclasses import dataclass
@@ -138,12 +143,35 @@ def project_to_sphere(
     below clamp_epsilon.
     """
     w = np.asarray(weights, dtype=np.float64)
+    norms = _row_norms(w, clamp_epsilon)
+    return _sphere_points(w, norms, "full"), norms
+
+
+def _row_norms(w: np.ndarray, clamp_epsilon: float) -> np.ndarray:
+    """project_to_sphere's row norms of a finite (N, D) matrix, and its check."""
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
+    # A finite row whose squared norm overflows (einsum does not warn) is scaled by its largest entry first.
+    big = np.flatnonzero(norms == np.inf)
+    if big.size:
+        peak = np.max(np.abs(w[big]), axis=1)
+        scaled = w[big] / peak[:, None]
+        norms[big] = peak * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
     small = np.flatnonzero(norms < clamp_epsilon)
     if small.size:
         row = int(small[0])
         raise ZeroNormFilter(row, float(norms[row]))
-    return w / norms[:, None], norms
+    return norms
+
+
+def _sphere_points(rows: np.ndarray, norms: np.ndarray, space: str) -> np.ndarray:
+    """The points _unit_energy takes, in one new array: rows / norms, (..., N, D) by (..., N), followed in half space
+    by their negations, (..., 2N, D)."""
+    if space == "full":
+        return rows / norms[..., None]
+    n = rows.shape[-2]
+    points = np.empty(rows.shape[:-2] + (2 * n, rows.shape[-1]))
+    np.negative(np.divide(rows, norms[..., None], out=points[..., :n, :]), out=points[..., n:, :])
+    return points
 
 
 def pair_distance(a: np.ndarray, b: np.ndarray, distance: str, clamp_epsilon: float = 1e-12) -> float:
@@ -160,37 +188,41 @@ def pair_distance(a: np.ndarray, b: np.ndarray, distance: str, clamp_epsilon: fl
     return max(d, clamp_epsilon)
 
 
-def _kernel_and_slope(dist: np.ndarray, s_power: int) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise kernel values and derivatives on a (clamped) distance matrix, in two new arrays."""
+def _kernel(dist: np.ndarray, s_power: int) -> np.ndarray:
+    """Elementwise kernel values on a (clamped) distance matrix, in a new array."""
     if s_power == 0:
         values = np.log(dist)
-        return np.negative(values, out=values), np.divide(-1.0, dist)
+        return np.negative(values, out=values)
     if s_power == 1:
-        inv = np.divide(1.0, dist)
-        slopes = np.multiply(inv, inv)
-        return inv, np.negative(slopes, out=slopes)
-    inv2 = np.multiply(dist, dist)
-    slopes = np.multiply(np.divide(1.0, inv2, out=inv2), -2.0)
-    return inv2, np.divide(slopes, dist, out=slopes)
+        return np.divide(1.0, dist)
+    values = np.multiply(dist, dist)
+    return np.divide(1.0, values, out=values)
+
+
+def _slope(values: np.ndarray, dist: np.ndarray, s_power: int) -> np.ndarray:
+    """The kernel's derivatives at dist, given its values there, written over the values."""
+    if s_power == 0:
+        return np.divide(-1.0, dist, out=values)
+    if s_power == 1:
+        return np.negative(np.multiply(values, values, out=values), out=values)
+    return np.divide(np.multiply(values, -2.0, out=values), dist, out=values)
 
 
 def layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:
     """Ordered-pair energy of one bank plus its analytic weight gradient."""
-    unit, norms = project_to_sphere(bank.weights, config.clamp_epsilon)
-    return _unit_energy(unit, norms, config, bank.layer_id)
+    norms = _row_norms(bank.weights, config.clamp_epsilon)
+    return _unit_energy(_sphere_points(bank.weights, norms, config.space), norms, config, bank.layer_id)
 
 
-def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_id: int = 0) -> EnergyResult:
-    """layer_energy on projected rows, unchecked: (N, D) unit rows and (N,) norms, or R banks, (R, N, D) and (R, N)."""
-    n = unit.shape[-2]
-    points = unit
-    if config.space == "half":
-        points = np.empty(unit.shape[:-2] + (2 * n, unit.shape[-1]))
-        points[..., :n, :] = unit
-        np.negative(unit, out=points[..., n:, :])
-    m = points.shape[-2]
+def _unit_energy(points: np.ndarray, norms: np.ndarray, config: MheConfig, layer_id: int = 0) -> EnergyResult:
+    """layer_energy on _sphere_points, unchecked: (N', D) points and (N,) row norms, or R banks, (R, N', D) and
+    (R, N). The unit rows are the points' first N."""
+    n, m = norms.shape[-1], points.shape[-2]
     if m < 2:
         raise DegenerateBank(layer_id, f"bank for layer {layer_id} has a single direction")
+    # The gradient outlives every array below. Allocated first, it does not split the heap space they free, which
+    # the next call's temporaries then fit into: allocated last, it made a process's peak RSS vary by 9 MB.
+    gradient = np.empty(points.shape[:-2] + (n, points.shape[-1]))
 
     # Bank-sized arrays are updated in place where the operation order allows: fresh ones cost page faults.
     gram = points @ points.swapaxes(-1, -2)
@@ -214,9 +246,9 @@ def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_i
 
     clamped = (raw < config.clamp_epsilon) & off_diag
     dist = np.maximum(raw, config.clamp_epsilon, out=raw)
-    values, slopes = _kernel_and_slope(dist, config.s_power)
+    values = _kernel(dist, config.s_power)
     # values[..., off_diag] is a slow fancy index, and on a stack a non-C layout whose row sums round differently.
-    energy = values[off_diag].sum() if unit.ndim == 2 else np.ascontiguousarray(values[..., off_diag]).sum(axis=-1)
+    energy = values[off_diag].sum() if points.ndim == 2 else np.ascontiguousarray(values[..., off_diag]).sum(axis=-1)
 
     # The gradient w.r.t. the stack's row p_i is sum_k coef_ik p_k, coef_ik = -2 k'(d_ik) / d_ik for chords and
     # -2 k'(d_ik) / sin(d_ik) for angles: (i, k) and (k, i) both depend on p_i, hence the 2. The chord's derivative
@@ -227,7 +259,7 @@ def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_i
     # r_i = sum_k F_ik (u_i . u_k), from the Gram, from F_ii removes row i's radial part, and dividing row i by
     # ||w_i|| leaves F @ U the weight gradient.
     live = off_diag & ~clamped
-    coef = np.multiply(slopes, -2.0, out=slopes)
+    coef = np.multiply(_slope(values, dist, config.s_power), -2.0, out=values)  # over the summed values
     if config.distance == "euclidean":
         np.divide(coef, dist, out=coef)
     else:
@@ -238,13 +270,16 @@ def _unit_energy(unit: np.ndarray, norms: np.ndarray, config: MheConfig, layer_i
     np.copyto(coef, 0.0, where=~live)
 
     fold = coef
-    if config.space == "half":
-        fold = coef[..., :n, :n] - coef[..., :n, n:] - coef[..., n:, :n] + coef[..., n:, n:]
+    if config.space == "half":  # folded in place, in the order ((C11 - C12) - C21) + C22
+        fold = coef[..., :n, :n]
+        fold -= coef[..., :n, n:]
+        fold -= coef[..., n:, :n]
+        fold += coef[..., n:, n:]
     diagonal = np.einsum("...ii->...i", fold)  # a writable view
     diagonal -= np.einsum("...ik,...ik->...i", fold, gram[..., :n, :n])
     fold /= norms[..., None]
-    gradient = fold @ unit
-    if unit.ndim == 2:
+    np.matmul(fold, points[..., :n, :], out=gradient)
+    if points.ndim == 2:
         return EnergyResult(float(energy), gradient, int(np.count_nonzero(clamped)))
     return EnergyResult(energy, gradient, np.count_nonzero(clamped, axis=(-2, -1)))
 
@@ -273,10 +308,19 @@ def mhe_penalty(
         raise InvalidConfig(f"lambda_h must be finite and non-negative, got {lambda_h!r}")
     if lambda_h == 0.0:
         return 0.0, [np.zeros_like(b.weights) for b in banks]
+    # Largest bank first, so that no finished bank's gradient is held under its temporaries. On an error, the banks
+    # listed before the failing one that have not run yet run first: the error raised is the first bad bank's.
+    results: list[EnergyResult | None] = [None] * len(banks)
+    for i in sorted(range(len(banks)), key=lambda i: banks[i].weights.size, reverse=True):
+        try:
+            results[i] = result = normalized_layer_energy(banks[i], config)
+        except Exception:
+            for bank, done in zip(banks[:i], results):
+                if done is None:
+                    normalized_layer_energy(bank, config)
+            raise
+        np.multiply(result.gradient, lambda_h, out=result.gradient)
     total = 0.0
-    gradients = []
-    for bank in banks:
-        result = normalized_layer_energy(bank, config)
+    for result in results:  # in list order, so the total's rounding does not depend on the banks' sizes
         total += result.energy
-        gradients.append(np.multiply(result.gradient, lambda_h, out=result.gradient))
-    return lambda_h * total, gradients
+    return lambda_h * total, [result.gradient for result in results]

@@ -280,8 +280,8 @@ def _shifted_sum(out, taps: np.ndarray, xs: np.ndarray, shifts: list[int], pad: 
     n = xs.shape[1] - 2 * pad
     stack = c < rows or (c == rows and kernel * c <= 512)
     width = min(n, _BLOCK, max(512, _STACK // (kernel * c)) if stack else _BLOCK)
-    # Both products take C-contiguous taps: BLAS rounds a transposed operand's product differently.
-    wide = np.ascontiguousarray(taps.transpose(1, 0, 2)).reshape(rows, kernel * c) if stack else None
+    # Both products take C-contiguous taps, made once per call: BLAS rounds a transposed operand's product differently.
+    taps = np.ascontiguousarray(taps.transpose(1, 0, 2)).reshape(rows, -1) if stack else np.ascontiguousarray(taps)
     buf = np.empty((kernel * c if stack else rows, width))
     scratch = None if sink is None else np.empty((rows, width))
     for c0 in range(pad, pad + n, width):
@@ -290,11 +290,11 @@ def _shifted_sum(out, taps: np.ndarray, xs: np.ndarray, shifts: list[int], pad: 
         if stack:
             for k, s in enumerate(shifts):
                 part[k * c : (k + 1) * c] = xs[:, c0 + s : c1 + s]
-            np.matmul(wide, part, out=acc)
-        else:  # one tap's copy at a time, not the whole stack's
-            np.matmul(np.ascontiguousarray(taps[0]), xs[:, c0 + shifts[0] : c1 + shifts[0]], out=acc)
+            np.matmul(taps, part, out=acc)
+        else:  # one tap's product at a time, with no copy of the shifted inputs
+            np.matmul(taps[0], xs[:, c0 + shifts[0] : c1 + shifts[0]], out=acc)
             for a, s in zip(taps[1:], shifts[1:]):
-                np.matmul(np.ascontiguousarray(a), xs[:, c0 + s : c1 + s], out=part)
+                np.matmul(a, xs[:, c0 + s : c1 + s], out=part)
                 acc += part
         if bias is not None:
             acc += bias[:, None]
@@ -356,10 +356,13 @@ def _phase_matrix(kernel: int) -> tuple[np.ndarray, list[int]]:
     return 0.5 * (d // 2 == shifts) + 0.5 * ((d + 1) // 2 == shifts), shifts.tolist()
 
 
-def _phase_taps(w_taps: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _phase_taps(w_taps: np.ndarray, m: np.ndarray, transposed: bool = False) -> np.ndarray:
     """The (S, 2 * C_out, C_low) taps[s, r] = sum_k M[r, k, s] w_taps[k] of a (K, C_out, C_low) tap stack: the
-    even outputs' rows, then the odd ones'."""
-    return np.tensordot(m, w_taps, axes=(1, 0)).transpose(1, 0, 2, 3).reshape(m.shape[2], -1, w_taps.shape[2])
+    even outputs' rows, then the odd ones'. With transposed, their (S, C_low, 2 * C_out) transposes, C-contiguous."""
+    taps = np.tensordot(m, w_taps, axes=(1, 0))  # (2, S, C_out, C_low)
+    if transposed:
+        return taps.transpose(1, 3, 0, 2).reshape(m.shape[2], w_taps.shape[2], -1)
+    return taps.transpose(1, 0, 2, 3).reshape(m.shape[2], -1, w_taps.shape[2])
 
 
 def _edges(kernel: int, t: int) -> list[np.ndarray]:
@@ -403,7 +406,8 @@ def _add_two_phase_grads(out: np.ndarray, xs: np.ndarray, d_phases: np.ndarray, 
     low-rate input xs, into out, (C_out, C_low, K); the input gradient is written into d_xs, a gapped buffer shaped
     like xs."""
     (m, shifts), a = _phase_matrix(len(w_taps)), _window(xs, pad)
-    d_a = _window(_conv_input_grad(d_xs, _phase_taps(w_taps, m), d_phases, pad, shifts), pad)
+    # The taps as _conv_input_grad reads them, transposed, are C-contiguous: _shifted_sum makes no copy of them.
+    d_a = _window(_conv_input_grad(d_xs, _phase_taps(w_taps, m, True).transpose(0, 2, 1), d_phases, pad, shifts), pad)
     d_taps = np.zeros((2 * out.shape[0], out.shape[1], len(shifts)))
     _add_param_grads(d_taps, xs, d_phases, shifts, pad)
     # The adjoint of taps[s, r] = sum_k M[r, k, s] w[k], as (K, C_out, C_low).

@@ -7,15 +7,16 @@ energy), and the result is compared against exactly known optimal
 configurations - the antipodal pair, the equilateral triangle, and the
 regular tetrahedron, octahedron, and icosahedron. If the analytic gradients
 were wrong anywhere, these optima would be unreachable. Each trial is
-normalized once, here, and goes to the energy core as unit rows: no
-evaluation re-checks or re-projects it.
+normalized once, here, straight into the energy core's points (the unit
+rows, then in half space their negations): no evaluation re-checks or
+re-projects it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FilterBank, MheConfig, _unit_energy, layer_energy
+from .energy import FilterBank, MheConfig, _sphere_points, _unit_energy, layer_energy
 from .errors import IncompatibleShape, InvalidConfig
 
 SHAPES = ("antipodal", "triangle", "tetrahedron", "octahedron", "icosahedron")
@@ -72,11 +73,12 @@ def shape_for_points(n_points: int) -> str | None:
     )
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
+def _normalize_rows(x: np.ndarray, space: str) -> np.ndarray:
+    """The energy core's points of x's rows normalized: the unit rows, then in half space their negations."""
     sq = np.einsum("...ij,...ij->...i", x, x)
     if not np.isfinite(sq.max()):  # the trial's only check: overflow leaves NaN or zero rows
         raise InvalidConfig("a descent step overflowed; step_size is too large")
-    return x / np.sqrt(sq)[..., None]
+    return _sphere_points(x, np.sqrt(sq), space)
 
 
 def minimize_energy(
@@ -105,17 +107,19 @@ def minimize_energy(
     best_energy, best_set = np.inf, None
     for first in range(0, restarts, group):
         starts = [np.random.default_rng(c).standard_normal((n_points, dim)) for c in children[first:first + group]]
-        points = _normalize_rows(np.stack(starts))
-        result = _unit_energy(points, np.ones(points.shape[:-1]), config)
+        stack = _normalize_rows(np.stack(starts), config.space)
+        points = stack[:, :n_points]  # the unit rows of each restart's accepted points
+        result = _unit_energy(stack, np.ones(points.shape[:-1]), config)
         energy, gradient = result.energy, result.gradient
         histories = [[e] for e in energy.tolist()]
         step, taken, live = np.full(len(starts), step_size), np.zeros(len(starts), dtype=int), np.arange(len(starts))
         while (live := live[(taken[live] < steps) & (step[live] >= 1e-18)]).size:
-            trial = _normalize_rows(points[live] - step[live, None, None] * gradient[live])
-            result = _unit_energy(trial, np.ones(trial.shape[:-1]), config)
+            trial = _normalize_rows(points[live] - step[live, None, None] * gradient[live], config.space)
+            result = _unit_energy(trial, np.ones((live.size, n_points)), config)
             lower = result.energy < energy[live]
             won = live[lower]
-            points[won], energy[won], gradient[won] = trial[lower], result.energy[lower], result.gradient[lower]
+            points[won], energy[won] = trial[lower, :n_points], result.energy[lower]
+            gradient[won] = result.gradient[lower]
             for r, e in zip(won.tolist(), energy[won].tolist()):
                 histories[r].append(e)
             taken[won] += 1

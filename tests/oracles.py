@@ -187,18 +187,21 @@ def sequential_minimize(unit_energy, n_points, dim, config, steps=2000, restarts
     def normalize(x):
         return x / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
 
+    def energy_of(points):  # the core takes the half space's [U; -U] stack
+        return unit_energy(np.concatenate([points, -points]) if config.space == "half" else points, unit_norms, config)
+
     unit_norms = np.ones(n_points)
     best = (math.inf, None, None)
     for child in np.random.SeedSequence(seed).spawn(restarts):
         points = normalize(np.random.default_rng(child).standard_normal((n_points, dim)))
-        result = unit_energy(points, unit_norms, config)
+        result = energy_of(points)
         energy, gradient = result.energy, result.gradient
         history = [energy]
         step = step_size
         for _ in range(steps):
             while step >= 1e-18:
                 trial = normalize(points - step * gradient)
-                trial_result = unit_energy(trial, unit_norms, config)
+                trial_result = energy_of(trial)
                 if trial_result.energy < energy:
                     break
                 step *= 0.5

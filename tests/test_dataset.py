@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import hypersep
 from hypersep.dataset import (
     Song,
     _assign_splits,
@@ -246,6 +247,28 @@ class TestBuildFromDir:
         assert manifest.sample_rate == 8000
         total = sum(len(v) for v in manifest.splits.values())
         assert total == 3
+
+    def test_saved_manifest_loads_as_data(self, tmp_path):
+        """The README's recipe for user stems: build and save a manifest for song directories without
+        mixture.wav, then load it through load_manifest and load_split as --data does."""
+        rng = np.random.default_rng(4)
+        stems = {}
+        for name in ("a", "b", "c", "d", "e"):
+            d = tmp_path / name
+            d.mkdir()
+            stems[name] = rng.integers(-9000, 9000, size=(2, 300)) / 32768.0
+            write_wav(d / "vocals.wav", stems[name][0], 8000)
+            write_wav(d / "accompaniment.wav", stems[name][1], 8000)
+        assert hypersep.save_manifest(hypersep.build_manifest_from_dir(tmp_path, seed=2)) == tmp_path / "manifest.json"
+        data = load_split(load_manifest(tmp_path))
+        songs = data.train + data.validation + data.test
+        assert sorted(song.name for song in songs) == sorted(stems)
+        assert data.train and data.validation and data.test
+        for song in songs:
+            assert song.sample_rate == 8000
+            assert np.array_equal(song.vocals, stems[song.name][0])
+            assert np.array_equal(song.accompaniment, stems[song.name][1])
+            assert np.array_equal(song.mixture, song.vocals + song.accompaniment)
 
     def test_empty_directory_rejected(self, tmp_path):
         with pytest.raises(InvalidConfig):
