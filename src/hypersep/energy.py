@@ -41,6 +41,7 @@ evaluates its banks largest first, so that no finished bank's gradient is
 held under the largest one's temporaries.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,6 +215,16 @@ def layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:
     return _unit_energy(_sphere_points(bank.weights, norms, config.space), norms, config, bank.layer_id)
 
 
+@functools.lru_cache(maxsize=4)
+def _stack_off_diagonal(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, m) off-diagonal mask and its flat indices, read-only: every call on a stack of m-point banks shares
+    them."""
+    mask = ~np.eye(m, dtype=bool)
+    index = np.flatnonzero(mask)
+    mask.flags.writeable = index.flags.writeable = False
+    return mask, index
+
+
 def _unit_energy(points: np.ndarray, norms: np.ndarray, config: MheConfig, layer_id: int = 0) -> EnergyResult:
     """layer_energy on _sphere_points, unchecked: (N', D) points and (N,) row norms, or R banks, (R, N', D) and
     (R, N). The unit rows are the points' first N."""
@@ -226,7 +237,8 @@ def _unit_energy(points: np.ndarray, norms: np.ndarray, config: MheConfig, layer
 
     # Bank-sized arrays are updated in place where the operation order allows: fresh ones cost page faults.
     gram = points @ points.swapaxes(-1, -2)
-    off_diag = ~np.eye(m, dtype=bool)
+    # A stack's calls (the Thomson solver's rounds: many, and small) share their mask; a bank builds its own.
+    off_diag, off_index = _stack_off_diagonal(m) if points.ndim == 3 else (~np.eye(m, dtype=bool), None)
     if config.distance == "euclidean":
         raw = np.multiply(gram, 2.0)
         np.sqrt(np.maximum(np.subtract(2.0, raw, out=raw), 0.0, out=raw), out=raw)
@@ -247,8 +259,12 @@ def _unit_energy(points: np.ndarray, norms: np.ndarray, config: MheConfig, layer
     clamped = (raw < config.clamp_epsilon) & off_diag
     dist = np.maximum(raw, config.clamp_epsilon, out=raw)
     values = _kernel(dist, config.s_power)
-    # values[..., off_diag] is a slow fancy index, and on a stack a non-C layout whose row sums round differently.
-    energy = values[off_diag].sum() if points.ndim == 2 else np.ascontiguousarray(values[..., off_diag]).sum(axis=-1)
+    # values[..., off_diag] is a slow fancy index, and on a stack a non-C layout whose row sums round differently:
+    # a stack takes its off-diagonal values by flat index instead, into C-contiguous rows in the same order.
+    if off_index is None:
+        energy = values[off_diag].sum()
+    else:
+        energy = values.reshape(-1, m * m).take(off_index, axis=1).sum(axis=-1)
 
     # The gradient w.r.t. the stack's row p_i is sum_k coef_ik p_k, coef_ik = -2 k'(d_ik) / d_ik for chords and
     # -2 k'(d_ik) / sin(d_ik) for angles: (i, k) and (k, i) both depend on p_i, hence the 2. The chord's derivative
@@ -281,7 +297,7 @@ def _unit_energy(points: np.ndarray, norms: np.ndarray, config: MheConfig, layer
     np.matmul(fold, points[..., :n, :], out=gradient)
     if points.ndim == 2:
         return EnergyResult(float(energy), gradient, int(np.count_nonzero(clamped)))
-    return EnergyResult(energy, gradient, np.count_nonzero(clamped, axis=(-2, -1)))
+    return EnergyResult(energy, gradient, clamped.sum(axis=(-2, -1)))
 
 
 def normalized_layer_energy(bank: FilterBank, config: MheConfig) -> EnergyResult:

@@ -109,13 +109,14 @@ def minimize_energy(
         starts = [np.random.default_rng(c).standard_normal((n_points, dim)) for c in children[first:first + group]]
         stack = _normalize_rows(np.stack(starts), config.space)
         points = stack[:, :n_points]  # the unit rows of each restart's accepted points
-        result = _unit_energy(stack, np.ones(points.shape[:-1]), config)
+        ones = np.ones(points.shape[:-1])  # the trials' row norms
+        result = _unit_energy(stack, ones, config)
         energy, gradient = result.energy, result.gradient
         histories = [[e] for e in energy.tolist()]
         step, taken, live = np.full(len(starts), step_size), np.zeros(len(starts), dtype=int), np.arange(len(starts))
         while (live := live[(taken[live] < steps) & (step[live] >= 1e-18)]).size:
             trial = _normalize_rows(points[live] - step[live, None, None] * gradient[live], config.space)
-            result = _unit_energy(trial, np.ones((live.size, n_points)), config)
+            result = _unit_energy(trial, ones[:live.size], config)
             lower = result.energy < energy[live]
             won = live[lower]
             points[won], energy[won] = trial[lower, :n_points], result.energy[lower]
