@@ -28,17 +28,20 @@ the 2N x 2N coefficients fold into F = C11 - C12 - C21 + C22, as rows i
 and N + i of the stack are u_i and -u_i. The normalization chain rule
 acts on F too: subtracting r_i = sum_k F_ik g_ik (g the Gram of U) from
 its diagonal removes each row's radial part; row i is divided by ||w_i||.
+That removal cancels O(1) terms, so the near pairs leave F: each one's
+term, coef (delta - (p_i . delta) p_i), comes from the row difference
+delta = p_k - p_i its chord was taken from, and folds like the rest.
 Distances below the config's ``clamp_epsilon`` are clamped; clamped
 pairs add a constant to the energy and nothing to the gradient.
 ``layer_energy`` validates (``FilterBank``, the row norms of
-``project_to_sphere``), divides the rows by their norms straight into the
-points (``_sphere_points``: the top half of [U; -U] in half space) and
-hands points and raw norms to the unchecked core ``_unit_energy``. The
-Thomson solver builds its trials' points the same way and calls the core
-directly on a stack (R, N', D), one bank per restart, and gets (R,)
-energies and clamp counts, each as the bank alone. ``mhe_penalty``
-evaluates its banks largest first, so that no finished bank's gradient is
-held under the largest one's temporaries.
+``project_to_sphere``: none zero, none past float64's range), divides the
+rows by their norms straight into the points (``_sphere_points``: the top
+half of [U; -U] in half space) and hands points and raw norms to the
+unchecked core ``_unit_energy``. The Thomson solver builds its trials'
+points the same way and calls the core directly on a stack (R, N', D),
+one bank per restart, and gets (R,) energies and clamp counts, each as the
+bank alone. ``mhe_penalty`` evaluates its banks largest first, so that no
+finished bank's gradient is held under the largest one's temporaries.
 """
 
 import functools
@@ -141,7 +144,8 @@ def project_to_sphere(
     """Row-normalize a matrix; returns (unit rows, original row norms).
 
     Raises ZeroNormFilter naming the first offending row if any norm is
-    below clamp_epsilon.
+    below clamp_epsilon, and InvalidConfig naming it if a norm exceeds
+    float64's range.
     """
     w = np.asarray(weights, dtype=np.float64)
     norms = _row_norms(w, clamp_epsilon)
@@ -149,14 +153,21 @@ def project_to_sphere(
 
 
 def _row_norms(w: np.ndarray, clamp_epsilon: float) -> np.ndarray:
-    """project_to_sphere's row norms of a finite (N, D) matrix, and its check."""
+    """project_to_sphere's row norms of a finite (N, D) matrix, and its checks."""
     norms = np.sqrt(np.einsum("ij,ij->i", w, w))
     # A finite row whose squared norm overflows (einsum does not warn) is scaled by its largest entry first.
     big = np.flatnonzero(norms == np.inf)
     if big.size:
         peak = np.max(np.abs(w[big]), axis=1)
         scaled = w[big] / peak[:, None]
-        norms[big] = peak * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+        # peak * root, rounded as it is but taken 2^64 lower, where it cannot overflow: a norm past float64's range is
+        # refused, not made inf (and its unit row zero).
+        low = np.ldexp(peak, -64) * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+        over = np.flatnonzero(low > np.ldexp(np.finfo(np.float64).max, -64))
+        if over.size:
+            row = int(big[over[0]])
+            raise InvalidConfig(f"filter row {row}'s norm exceeds float64's range (largest entry {peak[over[0]]:.4g})")
+        norms[big] = np.ldexp(low, 64)
     small = np.flatnonzero(norms < clamp_epsilon)
     if small.size:
         row = int(small[0])
@@ -239,6 +250,7 @@ def _unit_energy(points: np.ndarray, norms: np.ndarray, config: MheConfig, layer
     gram = points @ points.swapaxes(-1, -2)
     # A stack's calls (the Thomson solver's rounds: many, and small) share their mask; a bank builds its own.
     off_diag, off_index = _stack_off_diagonal(m) if points.ndim == 3 else (~np.eye(m, dtype=bool), None)
+    near_rows = []
     if config.distance == "euclidean":
         raw = np.multiply(gram, 2.0)
         np.sqrt(np.maximum(np.subtract(2.0, raw, out=raw), 0.0, out=raw), out=raw)
@@ -246,9 +258,9 @@ def _unit_energy(points: np.ndarray, norms: np.ndarray, config: MheConfig, layer
         # The diagonal entries are always near; most banks have no other.
         if np.count_nonzero(near) > near.size // m:
             near &= off_diag
+            near_rows = [(*bank, i, np.flatnonzero(near[(*bank, i)])) for *bank, i in zip(*np.nonzero(near.any(-1)))]
             # Row by row, so a collapsed bank needs O(m * D) scratch, not O(m^2 * D).
-            for *bank, i in zip(*np.nonzero(near.any(axis=-1))):
-                cols = np.flatnonzero(near[(*bank, i)])
+            for *bank, i, cols in near_rows:
                 diff = points[(*bank, cols)] - points[(*bank, i)]
                 raw[(*bank, i, cols)] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     else:
@@ -284,6 +296,18 @@ def _unit_energy(points: np.ndarray, norms: np.ndarray, config: MheConfig, layer
         inv_sin = np.divide(1.0, np.sqrt(np.subtract(1.0, cos2, out=cos2), out=cos2), out=cos2)
         np.multiply(coef, inv_sin, out=coef)
     np.copyto(coef, 0.0, where=~live)
+    # A near pair's term, coef times p_k's tangential part at p_i, would come out of F @ P and r_i by cancelling
+    # O(1) terms: it is formed from the row difference delta = p_k - p_i instead, as coef (delta - (p_i . delta) p_i),
+    # and the pair leaves coef. Each stack row's terms fold like its coefficients, row N + i's into u_i's negated.
+    if near_rows:
+        tangent = np.zeros(points.shape)
+        for *bank, i, cols in near_rows:
+            p, row = points[(*bank, i)], tangent[(*bank, i)]
+            np.matmul(coef[(*bank, i, cols)], points[(*bank, cols)] - p, out=row)
+            row -= (p @ row) * p
+        coef[near] = 0.0
+        if config.space == "half":
+            tangent = tangent[..., :n, :] - tangent[..., n:, :]
 
     fold = coef
     if config.space == "half":  # folded in place, in the order ((C11 - C12) - C21) + C22
@@ -295,6 +319,8 @@ def _unit_energy(points: np.ndarray, norms: np.ndarray, config: MheConfig, layer
     diagonal -= np.einsum("...ik,...ik->...i", fold, gram[..., :n, :n])
     fold /= norms[..., None]
     np.matmul(fold, points[..., :n, :], out=gradient)
+    if near_rows:
+        gradient += tangent / norms[..., None]
     if points.ndim == 2:
         return EnergyResult(float(energy), gradient, int(np.count_nonzero(clamped)))
     return EnergyResult(energy, gradient, clamped.sum(axis=(-2, -1)))

@@ -24,9 +24,14 @@ how many columns a block takes from its operands' shapes (_shifted_sum).
 Each activation is written in place over its conv's gapped output, gaps
 zeroed, so a stride-1 conv or skip reads it as it stands. The forward cache
 keeps those outputs only; backward reads the LeakyReLU slope off them
-(act > 0 exactly when pre > 0) and releases each. Every pass over many
-windows, training or inference, calls forward_batch on _windows_per_call of
-them at a time, whatever its batch size.
+(act > 0 exactly when pre > 0) and releases each once read for the last
+time. The cheap encoder levels 1..k (_recomputed_levels) go sooner, once
+their up convs have read them as skips: forward's own step (_layer_forward)
+recomputes them from the mixtures, bit for bit, for down_{k+1}'s backward.
+So backward reads the weights forward used, there as in every input
+gradient: they must not change in between. Every pass over many windows,
+training or inference, calls forward_batch on _windows_per_call of them at
+a time, whatever its batch size.
 """
 
 import json
@@ -60,6 +65,11 @@ _CHUNK = 1 << 15
 # acceptance-7 net, separating a 6-s song peaks at 7.7 MiB at 8 windows per call, as a B=8 training step does, but at
 # 13.9, 25.3 and 30.0 MiB at 16, 32 and 64, so a larger value would raise the small training run's peak RSS.
 _INFERENCE_BATCH = 8
+
+# Share of a step's conv FLOPs (forward, and backward at twice its cost) that backward_batch may spend recomputing
+# encoder levels instead of holding them through the decoder's backward (_recomputed_levels). On the paper net levels
+# 1 and 2 cost 1.16% and held 12 MiB of its 79.4 MiB traced backward peak; level 3 would bring the cost to 3.37%.
+_RECOMPUTE = 0.02
 
 GROWTH_MODES = ("double", "add_base")
 
@@ -182,7 +192,9 @@ def _gap(config: NetConfig) -> int:
 @dataclass
 class ForwardCache:
     """A batch's net layers, mixtures and gap width, and the gapped (C, B, T + 2 * pad) output of every conv so far,
-    gaps zero; backward sets each to None once read for the last time."""
+    gaps zero; backward sets each to None once read for the last time. Encoder levels 1..k (_recomputed_levels) are
+    also set to None once read as skips, and refilled from the mixtures and layers, as forward made them, before
+    down_{k+1}'s backward: the weights must be the ones forward used."""
 
     layers: list[ConvLayer]
     mixtures: np.ndarray | None
@@ -258,6 +270,15 @@ def init_net(config: NetConfig) -> SepNet:
         bound = np.sqrt(6.0 / ((c_in + c_out) * kernel))  # fan in plus fan out
         layer.weights[:] = rng.uniform(-bound, bound, size=layer.weights.shape)
     return net
+
+
+def _recomputed_levels(config: NetConfig) -> int:
+    """k: backward_batch releases encoder levels 1..k once their up convs have read them as skips, and recomputes
+    them from the mixtures for down_{k+1}'s backward, their next reader. The most levels below depth whose down
+    convs' forward, summed, costs at most _RECOMPUTE of a step's conv FLOPs, three times a forward pass's."""
+    cost = [c_in * c_out * kernel * (config.input_len >> (config.depth if role == "bottleneck" else max(level - 1, 0)))
+            for role, level, c_in, c_out, kernel in _layer_plan(config)]
+    return int(np.count_nonzero(np.cumsum(cost[: config.depth - 1]) <= _RECOMPUTE * 3 * sum(cost)))
 
 
 def _parameter_count(config: NetConfig) -> int:
@@ -468,17 +489,23 @@ def forward_batch(net: SepNet, mixtures: np.ndarray) -> tuple[np.ndarray, Forwar
     if mixtures.ndim != 2 or mixtures.shape[1] != net.config.input_len:
         raise ShapeMismatch(f"expected batch shape (B, {net.config.input_len}), got {mixtures.shape}")
     cache = ForwardCache(net.layers, mixtures, _gap(net.config))
-    for idx, layer in enumerate(net.layers):
-        _, skip, low = _wiring(layer)
-        # The full-rate part: the whole conv, or an up conv's skip conv; then the up conv's two-phase part.
-        xs = cache.conv_input(idx) if skip is None else cache.output(skip)
-        ys = _conv_forward(xs, _taps(layer.weights[:, low:]), cache.pad, layer.bias)
-        del xs  # a stride-2 copy, before the two-phase part runs
-        if skip is not None:
-            _add_two_phase(ys, cache.conv_input(idx), _taps(layer.weights[:, :low]), cache.pad)
-        cache.activations.append(_activate(ys, layer.role != "output", cache.pad))
-        del ys
+    for idx in range(len(net.layers)):
+        cache.activations.append(_layer_forward(cache, idx))
     return cache.vocals, cache
+
+
+def _layer_forward(cache: ForwardCache, idx: int) -> np.ndarray:
+    """Conv idx's activation, from the cached outputs it reads, with the cache's layers: forward_batch's step, and
+    backward_batch's refill of a released encoder level, the same bits."""
+    layer = cache.layers[idx]
+    _, skip, low = _wiring(layer)
+    # The full-rate part: the whole conv, or an up conv's skip conv; then the up conv's two-phase part.
+    xs = cache.conv_input(idx) if skip is None else cache.output(skip)
+    ys = _conv_forward(xs, _taps(layer.weights[:, low:]), cache.pad, layer.bias)
+    del xs  # a stride-2 copy, before the two-phase part runs
+    if skip is not None:
+        _add_two_phase(ys, cache.conv_input(idx), _taps(layer.weights[:, :low]), cache.pad)
+    return _activate(ys, layer.role != "output", cache.pad)
 
 
 def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray, grad: np.ndarray) -> None:
@@ -490,6 +517,7 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray, grad:
     if grad.shape != net.vector.shape:
         raise ShapeMismatch(f"gradient shape {grad.shape} does not match the parameters' {net.vector.shape}")
     pad, acts, slots = cache.pad, cache.activations, _views(net.config, grad)
+    levels = _recomputed_levels(net.config)
     # d(loss)/d(output) of each conv in a zero-gapped buffer: the one its first part was written in.
     d_outs: list[np.ndarray | None] = [None] * len(acts)
     d_outs[-1] = np.zeros((1, len(d_vocals), d_vocals.shape[1] + 2 * pad))
@@ -501,6 +529,9 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray, grad:
         if layer.role != "output":
             _slope(ds, acts[idx])
         acts[idx] = None  # the convs that read it as input or skip have run backward already
+        if idx == levels:  # the released levels, for this conv's input and their own slopes
+            for i in range(levels):
+                acts[i] = _layer_forward(cache, i)
         # The full-rate part, as in forward_batch.
         xs = cache.conv_input(idx) if skip is None else cache.output(skip)
         _add_param_grads(slot.weights[:, low:], xs, ds, _shifts(weights.shape[2]), pad)
@@ -513,6 +544,8 @@ def backward_batch(net: SepNet, cache: ForwardCache, d_vocals: np.ndarray, grad:
                 _conv_input_grad(xs, taps, ds, pad)
                 _window(d_outs[idx - 1], pad)[:, :, ::2] += _window(xs, pad)
         del xs
+        if skip is not None and skip < levels:  # an encoder level that is recomputed before it is read again
+            acts[skip] = None
         if skip is not None:  # the two-phase part: ds is released before the input gradient's buffer is made
             w_taps, xs = _taps(weights[:, :low]), cache.conv_input(idx)
             d_phases = np.zeros((2 * len(ds),) + xs.shape[1:])

@@ -379,6 +379,15 @@ class TestMalformedInput:
                     f"layer {layer % len(net.layers)} {part}", capsys)
         assert not report.exists()
 
+    def test_checkpoint_with_a_norm_past_float64(self, pipeline, tmp_path, capsys):
+        """A finite filter row whose norm exceeds float64's range is refused naming the row, not scored as a zero
+        unit row."""
+        net = load_checkpoint(pipeline["ckpt"])
+        net.layers[0].weights[1] = 1.5e308
+        ckpt = tmp_path / "huge.ckpt"
+        save_checkpoint(net, ckpt)
+        self._check(["energy-inspect", "--ckpt", str(ckpt)], "filter row 1's norm", capsys)
+
     @pytest.mark.parametrize("layers", [5, None, [1, 2, 3, 4]], ids=["int", "null", "ints"])
     def test_checkpoint_header_layers(self, pipeline, tmp_path, capsys, layers):
         ckpt = self._edited_checkpoint(pipeline, tmp_path, "layers", layers)

@@ -107,6 +107,22 @@ class TestProjection:
         assert norms[2] == pytest.approx(plain[2] * 1e200, rel=1e-15)
         np.testing.assert_allclose(unit, project_to_sphere(w)[0], rtol=0, atol=1e-15)
 
+    def test_row_whose_norm_overflows_is_refused(self):
+        """A finite row with |w| * sqrt(D) past float64's range is refused naming it, with no overflow on the way,
+        through the projection, layer_energy and mhe_penalty; a row just inside the range is projected."""
+        w = np.random.default_rng(14).standard_normal((6, 5))
+        w[3] = 1.5e308
+        bank = FilterBank(w, layer_id=2)
+        calls = [lambda: project_to_sphere(w), lambda: layer_energy(bank, MheConfig()),
+                 lambda: mhe_penalty([FilterBank(np.eye(3)), bank], MheConfig("half", "euclidean", 0), 0.1)]
+        for call in calls:
+            with pytest.raises(InvalidConfig, match="filter row 3's norm exceeds float64's range"):
+                call()
+        w[3] = np.finfo(np.float64).max / 2.5  # norm 0.89 of the largest float
+        unit, norms = project_to_sphere(w)
+        assert norms[3] == pytest.approx(np.finfo(np.float64).max / 2.5 * math.sqrt(5), rel=1e-15)
+        np.testing.assert_allclose(unit[3], 1 / math.sqrt(5), rtol=1e-15)
+
 
 class TestKernelAndDistance:
     def test_orthogonal_pair_distances(self):
@@ -260,6 +276,28 @@ def bank_with_close_pair(gap, mirror):
     return w
 
 
+def rotated_bank_with_close_pair(gap, mirror, seed):
+    """bank_with_close_pair's layout in a random rotation of R^6, its close pair's rows renormalized until their
+    float64 norms are exactly 1; with mirror=True the last row is negated."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((5, 6))
+    theta = 2.0 * math.asin(math.sqrt(gap / 2.0))
+    w[3:] = 0.0
+    w[3, 0] = 1.0
+    w[4, 0], w[4, 1] = math.cos(theta), math.sin(theta)
+    w = w @ np.linalg.qr(rng.standard_normal((6, 6)))[0]
+    for row in w[3:]:
+        for _ in range(10):
+            unit, norm = project_to_sphere(row[None])
+            if norm[0] == 1.0:
+                break
+            row[:] = unit[0]
+        assert norm[0] == 1.0
+    if mirror:
+        w[4] = -w[4]
+    return w
+
+
 class TestNearCoincidentGuard:
     """Gram chords sqrt(2 - 2g) cancel for g near 1; pairs above 1 - _NEAR_GAP
     must still match the direct-difference oracle at the acceptance-2 tolerance."""
@@ -286,6 +324,23 @@ class TestNearCoincidentGuard:
         weights = random_bank(np.random.default_rng(72), 40, 120).weights
         for config in EUCLIDEAN_CONFIGS:
             self.assert_matches_oracle(weights, config)
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("gap", [1e-6, 1e-10, 1e-14])
+    def test_close_pair_gradient_matches_long_double(self, gap, mirror):
+        """Five random rotations of a bank with one pair at 1 - g = gap: every euclidean gradient within 1e-12 of
+        the long-double one's largest entry, which is the close pair's. Without the pair's tangential terms formed
+        from its row difference, 1e-14 read 2e-9. The pair's rows have float64 norms of exactly 1, so both sides
+        take the same unit rows; a rounding in one would move the close pair's chord by about ulp / chord."""
+        for seed in range(5):
+            weights = rotated_bank_with_close_pair(gap, mirror, seed)
+            for config in EUCLIDEAN_CONFIGS:
+                if mirror and config.space == "full":
+                    continue
+                got = layer_energy(FilterBank(weights), config).gradient
+                ref = oracles.long_double_euclidean_gradient(weights, config.space, config.s_power)
+                err = float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+                assert err < 1e-12, f"seed {seed} {config.label()}: {err:.2e}"
 
     @pytest.mark.parametrize("mirror", [False, True])
     @pytest.mark.parametrize("gap", [_NEAR_GAP / 2, _NEAR_GAP, 2 * _NEAR_GAP])
